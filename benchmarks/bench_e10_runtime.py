@@ -218,11 +218,10 @@ def test_e10_execset_overhead(monkeypatch):
     and with an :class:`~repro.obs.execset.ExecutionSetRecorder`
     observing (what ``repro explore`` enables by default).  The disabled
     path runs an empty observer loop per execution and must stay free;
-    the enabled path pays one identity lookup, one id hash, one digest
-    fold and one record line built per execution, plus a snapshot and
-    two fingerprint hashes per distinct final configuration (memoized on
-    ``System.identity()``; this walk's 120 executions end in 30), and its
-    ratio is bounded.  Beside the ratio, exact call counts pin the
+    the enabled path pays one ``System.identity()`` lookup and one
+    counter increment per execution, plus a snapshot, two fingerprint
+    hashes and an exhibit id per distinct final configuration (this
+    walk's 120 executions end in 30), and its ratio is bounded.  Beside the ratio, exact call counts pin the
     structure: the recorded walk never merges fault records (each
     execution carries its walk prefix) and fingerprints each distinct
     final configuration once.  perfbench's ``explore-recovery`` workload
@@ -269,16 +268,17 @@ def test_e10_execset_overhead(monkeypatch):
         f"ratio {ratio:.2f}x, digest {recorder.digest[:16]}"
     )
     assert count == 120 and recorded_count == 120
-    assert recorder.total_records == 120
+    assert recorder.total_records == 30
+    assert recorder.total_executions == 120
     # Off in code must mean free: with no observers the per-execution hook
     # loop is empty, so the disabled walk stays in the E10 envelope.
     assert disabled_rate > 200, (
         f"disabled-path rate fell to {disabled_rate:,.0f} executions/s"
     )
-    # The enabled path pays an id hash, a digest fold and a line per
-    # execution; a blow-up beyond this bound means the serialize-once
-    # observe path or the fingerprint cache broke.  Measured 1.52-2.77x,
-    # median 1.98x, over 10 runs (2-vCPU Xeon, CPython 3.11).
+    # The enabled path pays an identity lookup and a counter per
+    # execution; a blow-up beyond this bound means the identity cache
+    # broke.  Measured 1.46-2.76x, median 1.76x, over 10 runs (2-vCPU VM,
+    # CPython 3.11).
     assert ratio < 6.5, f"execset overhead grew: {ratio:.2f}x"
 
     calls = {"merge_fault_decisions": 0, "config_fingerprints": 0}

@@ -19,22 +19,23 @@ Commands
     checkpointing the DFS frontier.  An interrupted run (SIGINT, budget)
     flushes a final checkpoint and exits 3; ``--resume FILE`` continues
     it, visiting exactly the executions the interrupted run had not yet
-    yielded.  By default every run also records its execution *set* as a
-    content-addressed ``repro-execset/1`` digest stream (default path
+    yielded.  By default every run also records its execution *set*, one
+    record per distinct final configuration, as a content-addressed
+    ``repro-execset/2`` digest stream (default path
     ``.repro/execsets/<run-id>.jsonl``, override with ``--execset-out``,
     disable with ``--no-execset``) — the artifact ``repro diff``
     compares, e.g. a fresh run against an interrupted-and-resumed one.
 ``diff A B [--json] [--ledger FILE]``
-    Compare two explorations as *sets of executions*: operands are
-    ``repro-execset/1`` file paths or ledger run ids (unique prefixes
-    accepted; a run id pulls in its whole resume chain, merged).
-    Reports set-digest equality, the set difference with example
-    executions, verdicts and per-depth visit histograms; a set
-    difference is explained by replaying a minimal missing execution
-    into an ``obs/explain`` lane diagram pinpointing the first diverging
-    decision.  Exit 0 same set + same verdict, 1 same verdict but
-    different set (legitimate for sound reductions), 2 verdict
-    divergence, 3 usage.  Output is deterministic: two invocations over
+    Compare two explorations as *sets of final configurations*: operands
+    are ``repro-execset/2`` file paths or ledger run ids (unique
+    prefixes accepted; a run id pulls in its whole resume chain,
+    merged).  Reports set-digest equality, the set difference with
+    example configurations, verdicts and per-depth histograms; a set
+    difference is explained by replaying the first path to a minimal
+    missing configuration into an ``obs/explain`` lane diagram
+    pinpointing the first diverging decision.  Exit 0 same set + same
+    verdict, 1 same verdict but different set (legitimate for sound
+    reductions), 2 verdict divergence, 3 usage.  Output is deterministic: two invocations over
     the same targets are byte-identical.
 ``audit [--task T] [--n N] [--k K] [--max-crashes F]``
     Exhaustively explore an instance with the state-space redundancy
@@ -220,10 +221,10 @@ def _explore_execset_recorder(args, task, n, k, inputs, checkpoint=None):
     """Build the explore command's execution-set recorder (default-on).
 
     The stream lands at ``--execset-out`` or
-    ``.repro/execsets/<run-id>.jsonl``; a resumed run seeds its rolling
-    digest from the checkpoint header's digest-so-far (legacy headers
-    carry none — the digest then covers only the new records and
-    ``repro diff`` reports the merged claim as partial).
+    ``.repro/execsets/<run-id>.jsonl``; a resumed run unions its set with
+    the checkpoint header's set so far (a header without one, from before
+    the configuration-set format, leaves the set covering only the new
+    session).
     """
     import os
 
@@ -241,8 +242,7 @@ def _explore_execset_recorder(args, task, n, k, inputs, checkpoint=None):
         path=path,
         spec_meta={"task": task, "n": n, "k": k},
         value_alphabet=inputs,
-        base_digest=(base or {}).get("digest"),
-        base_records=(base or {}).get("records", 0),
+        base=base if base and "configs" in base else None,
     )
 
 
@@ -261,7 +261,8 @@ def _write_execset(execset) -> None:
 
     print(
         f"execution-set digest {short_digest(execset.merged_digest)} "
-        f"over {execset.total_records} executions -> {path}"
+        f"over {execset.total_records} configurations "
+        f"({execset.total_executions} executions) -> {path}"
     )
 
 
@@ -618,6 +619,16 @@ def cmd_serve(args) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    """argparse type of the O(n, k) parameters: a bad value is a usage
+    error (exit 2, no ledger record), not a traceback from the family
+    arithmetic."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -678,12 +689,12 @@ def build_parser() -> argparse.ArgumentParser:
     # describe, curves and common2 compute the paper's arithmetic: no
     # walk to observe or budget, so no run flags and no ledger record.
     describe = sub.add_parser("describe", help="data sheet of O(n, k)")
-    describe.add_argument("n", type=int)
-    describe.add_argument("k", type=int)
+    describe.add_argument("n", type=positive_int)
+    describe.add_argument("k", type=positive_int)
     describe.set_defaults(func=cmd_describe, skip_ledger_record=True)
 
     curves = sub.add_parser("curves", help="agreement curves K(N)")
-    curves.add_argument("n", type=int)
+    curves.add_argument("n", type=positive_int)
     curves.add_argument("--kmax", type=int, default=3)
     curves.add_argument("--nmax", type=int, default=24)
     curves.set_defaults(func=cmd_curves, skip_ledger_record=True)
@@ -691,8 +702,8 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser(
         "check", help="model-check O(n, k) live", parents=[obs]
     )
-    check.add_argument("n", type=int)
-    check.add_argument("k", type=int)
+    check.add_argument("n", type=positive_int)
+    check.add_argument("k", type=positive_int)
     check.set_defaults(func=cmd_check)
 
     explore = sub.add_parser(
@@ -816,13 +827,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     diff = sub.add_parser(
         "diff",
-        help="compare two runs as sets of executions (digest, set "
+        help="compare two runs as sets of final configurations (digest, set "
         "difference, verdicts); exit 0 same set, 1 different set, "
         "2 verdict divergence",
     )
     diff.add_argument(
         "target_a", metavar="A",
-        help="a repro-execset/1 file, or a ledger run id (unique prefix "
+        help="a repro-execset/2 file, or a ledger run id (unique prefix "
         "accepted; its whole resume chain is merged)",
     )
     diff.add_argument(

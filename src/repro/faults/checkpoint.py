@@ -42,12 +42,13 @@ crash-only files resume exactly (a v1 file's ``max_recoveries`` defaults
 to 0).
 
 The optional ``execset`` header entry carries the interrupted run's
-execution-set digest-so-far (``{"digest": <64 hex>, "records": N}``, see
-:mod:`repro.obs.execset`), so a resumed run's *merged* digest is
-well-defined: the resumer seeds its recorder from this entry and its
-footer covers the whole multi-session exploration.  Headers written
-before the entry existed read back as ``execset=None`` — ``repro diff``
-reports such digests as ``n/a`` rather than erroring.
+execution set so far: the sorted fingerprints of the final
+configurations it reached and its execution count (``{"configs": [...],
+"executions": N}``, see :mod:`repro.obs.execset`).  A resumed run unions
+its own configurations with that set, so its footer's merged digest
+covers the whole multi-session exploration.  Headers written before the
+entry existed, or by a recorder of the older execution-id format, carry
+no ``configs``: the resumed run's set then covers only its own session.
 
 Writing a checkpoint emits a ``checkpoint_written`` event (path,
 frontier size, executions completed) through :mod:`repro.obs`.
@@ -92,7 +93,7 @@ class Checkpoint:
     #: Ledger id of the run that wrote this checkpoint (``None`` for
     #: library-driven explorations) — the parent link of a resume chain.
     run_id: Optional[str] = None
-    #: Execution-set digest-so-far (``{"digest": ..., "records": ...}``)
+    #: Execution set so far (``{"configs": [...], "executions": ...}``)
     #: of the interrupted run, or ``None`` for legacy headers and runs
     #: without a recorder attached (see :mod:`repro.obs.execset`).
     execset: Optional[Dict[str, Any]] = None

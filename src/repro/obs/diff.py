@@ -1,38 +1,41 @@
-"""``repro diff``: compare two explorations as *sets of executions*.
+"""``repro diff``: compare two explorations as *sets of final
+configurations*.
 
 Two runs that report the same verdict and the same execution count can
-still have visited different executions — exactly the failure mode that
-frontier sharding and DPOR/symmetry reductions must be audited against
-(ROADMAP items 1 and 2).  This module compares two runs on execution-set
-*identity*: the content-addressed digests and per-execution records of
-:mod:`repro.obs.execset`.
+still have reached different final configurations, exactly the failure
+mode that frontier sharding and state-cached, DPOR or symmetry
+reductions must be audited against.  This module compares two runs on
+set *identity*: the content-addressed digests and per-configuration
+records of :mod:`repro.obs.execset`.  A change that alters the paths a
+walk takes but reaches the same configurations compares as the same
+set; for a reduction, that is the point.
 
 Targets are resolved flexibly: an existing file path is read as a
-``repro-execset/1`` stream; anything else is treated as a (possibly
+``repro-execset/2`` stream; anything else is treated as a (possibly
 abbreviated) run-ledger id, resolved through
 :func:`repro.obs.ledger.resume_chain` so a resumed multi-session
-exploration compares as one merged set.
+exploration compares as one merged set (records keyed on ``config``,
+their ``executions`` summed along the chain).
 
 The report covers:
 
-* **set digest** — equal digests mean the same set of executions,
-  whatever order they were visited in (and across shard/resume splits);
-* **set difference** — executions only one run visited, with example
-  ids and depths;
+* **set digest** — equal digests mean the same set of configurations,
+  whatever order they were reached in (and across shard/resume splits);
+* **set difference** — configurations only one run reached, with
+  example fingerprints and the depths of their first paths;
 * **verdicts** — from the ledger (file targets compare as ``n/a``);
-* **per-depth visit histograms**;
-* **divergence explanation** — a minimal missing execution is replayed
-  via ``SystemSpec.replay`` and rendered as an :mod:`repro.obs.explain`
-  lane diagram, with the first decision where the two runs' trees
-  diverge pinpointed.
+* **per-depth histograms** of the first paths;
+* **divergence explanation** — the first path to a minimal missing
+  configuration is replayed via ``SystemSpec.replay`` and rendered as
+  an :mod:`repro.obs.explain` lane diagram, with the first decision
+  where it leaves every first path of the other run pinpointed.
 
 Exit codes (also under ``exit_code`` in ``--json`` output):
 
 ====  ============================================================
-0     same execution set, same verdict
-1     same verdict but different (or undeterminable) execution set
-      — legitimate for *sound* reductions, which must change the
-      set without changing the verdict
+0     same configuration set, same verdict
+1     same verdict but different (or undeterminable) configuration
+      set
 2     verdict divergence — the alarm the gate exists for
 3     usage error (unknown run id, unreadable file, cyclic ledger)
 ====  ============================================================
@@ -59,7 +62,7 @@ EXIT_SET_DIFFERS = 1
 EXIT_VERDICT_DIVERGES = 2
 EXIT_USAGE = 3
 
-#: Example executions listed per side in the table (the
+#: Example configurations listed per side in the table (the
 #: JSON report lists up to 10x this; the counts are always exact).
 EXAMPLE_LIMIT = 5
 
@@ -69,10 +72,11 @@ EXAMPLE_LIMIT = 5
 # ----------------------------------------------------------------------
 @dataclass
 class RunSet:
-    """One side of a diff: a run's execution set plus ledger context."""
+    """One side of a diff: a run's configuration set plus ledger
+    context."""
 
     label: str
-    #: ``id -> record`` over every execset file backing this target.
+    #: ``config -> record`` over every execset file backing this target.
     records: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     #: Whole-exploration merged digest (``None`` = not recorded).
     digest: Optional[str] = None
@@ -105,8 +109,7 @@ class RunSet:
 def _absorb_file(target: RunSet, path: str) -> _execset.ExecSetFile:
     parsed = _execset.read_execset(path)
     target.sources.append(path)
-    for record_id, record in parsed.records.items():
-        target.records.setdefault(record_id, record)
+    _execset.absorb(target.records, parsed.records)
     if not target.spec and parsed.spec:
         target.spec = parsed.spec
     if parsed.skipped:
@@ -124,16 +127,16 @@ def load_file_target(path: str) -> RunSet:
     target = RunSet(label=path)
     parsed = _absorb_file(target, path)
     target.digest = parsed.merged_digest
-    target.executions = parsed.footer.get("total_records", len(target.records))
+    target.executions = parsed.footer.get("total_executions", parsed.executions)
     if parsed.partial:
         # A resumed run's file whose parent shards are elsewhere: the
         # digest covers the whole exploration, the records do not.
         target.complete = False
         target.notes.append(
             f"{path}: covers {len(parsed.records)} of "
-            f"{parsed.footer.get('total_records', '?')} executions "
-            f"(resumed run; {parsed.base_records} inherited) — set "
-            "difference reflects only the records present"
+            f"{len(parsed.base_configs | parsed.records.keys())} "
+            f"configurations (resumed run; {parsed.base_records} "
+            "inherited) — set difference reflects only the records present"
         )
     else:
         target.complete = parsed.consistent
@@ -203,7 +206,7 @@ def load_ledger_target(
         expected_records,
     ):
         target.notes.append(
-            f"ledger records {expected_records} executions, "
+            f"ledger records {expected_records} configurations, "
             f"{len(target.records)} found on disk"
         )
     return target
@@ -229,37 +232,37 @@ def _depth_histogram(records: Dict[str, Dict[str, Any]]) -> Dict[int, int]:
 
 
 def _examples(
-    records: Dict[str, Dict[str, Any]], ids: List[str], limit: int
+    records: Dict[str, Dict[str, Any]], configs: List[str], limit: int
 ) -> List[Dict[str, Any]]:
     ordered = sorted(
-        ids, key=lambda i: (records[i].get("depth", 0), i)
+        configs, key=lambda c: (records[c].get("depth", 0), c)
     )
     return [
-        {"id": record_id, "depth": records[record_id].get("depth")}
-        for record_id in ordered[:limit]
+        {"config": config, "depth": records[config].get("depth")}
+        for config in ordered[:limit]
     ]
 
 
 def _pick_minimal(
-    records: Dict[str, Dict[str, Any]], ids: List[str]
+    records: Dict[str, Dict[str, Any]], configs: List[str]
 ) -> Optional[Dict[str, Any]]:
-    """The shallowest missing execution (ties broken by id) — the one
-    worth replaying as the divergence exhibit."""
-    if not ids:
+    """The missing configuration with the shallowest first path (ties
+    broken by fingerprint) — the one worth replaying as the divergence
+    exhibit."""
+    if not configs:
         return None
-    best = min(ids, key=lambda i: (records[i].get("depth", 0), i))
+    best = min(configs, key=lambda c: (records[c].get("depth", 0), c))
     return records[best]
 
 
 def _first_divergence(
     missing: Dict[str, Any], other: Dict[str, Dict[str, Any]]
 ) -> Dict[str, Any]:
-    """Where the other run's tree stops covering ``missing``.
+    """Where the other run's first paths stop covering ``missing``'s.
 
-    Finds the longest prefix of the missing execution's decisions shared
-    with *any* execution the other run visited: the next decision is the
-    exact branch the other run never took — the first point where the
-    two exploration trees diverge.
+    Finds the longest prefix of the missing configuration's first path
+    shared with the first path of *any* configuration the other run
+    reached: the next decision is a branch none of those paths takes.
     """
     decisions = [tuple(d) for d in missing.get("decisions") or []]
     best = 0
@@ -285,7 +288,7 @@ def _first_divergence(
 def _render_lanes(
     missing: Dict[str, Any], spec_meta: Dict[str, Any]
 ) -> Tuple[Optional[str], Optional[str]]:
-    """Replay a missing execution: ``(lane_text, error)``.
+    """Replay a missing configuration's first path: ``(lane_text, error)``.
 
     Spec provenance comes from the execset header and resolves through
     the witness builder registry; when it cannot (library-driven specs),
@@ -386,6 +389,7 @@ def compare(a: RunSet, b: RunSet, explain: bool = True) -> Dict[str, Any]:
         assert missing is not None
         divergence: Dict[str, Any] = {
             "side": side,
+            "config": missing.get("config"),
             "id": missing.get("id"),
             "depth": missing.get("depth"),
             "decisions": missing.get("decisions"),
@@ -405,6 +409,10 @@ def compare(a: RunSet, b: RunSet, explain: bool = True) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # Rendering
 # ----------------------------------------------------------------------
+def _count(value: Any) -> str:
+    return "n/a" if value is None else str(value)
+
+
 def _marker(equal: Optional[bool], same: str = "SAME") -> str:
     if equal is None:
         return "n/a"
@@ -424,18 +432,21 @@ def render_table(report: Dict[str, Any]) -> str:
         f"{_execset.short_digest(digest['b'])} "
         f"({_marker(digest['equal'], 'SAME SET')})"
     )
-    lines.append(f"records: {a['records']} vs {b['records']}")
+    lines.append(
+        f"configurations: {a['records']} vs {b['records']} "
+        f"(executions: {_count(a['executions'])} vs {_count(b['executions'])})"
+    )
     for side, key in (("A", "only_in_a"), ("B", "only_in_b")):
         entry = report[key]
         if not entry["count"]:
             continue
         examples = ", ".join(
-            f"{e['id']} (depth {e['depth']})"
+            f"{e['config']} (depth {e['depth']})"
             for e in entry["examples"][:EXAMPLE_LIMIT]
         )
         suffix = ", ..." if entry["count"] > EXAMPLE_LIMIT else ""
         lines.append(
-            f"only in {side}: {entry['count']} execution(s): "
+            f"only in {side}: {entry['count']} configuration(s): "
             f"{examples}{suffix}"
         )
     verdict = report["verdict"]
@@ -445,7 +456,7 @@ def render_table(report: Dict[str, Any]) -> str:
     )
     histogram = report["depth_histogram"]
     if histogram:
-        lines.append("per-depth visits:")
+        lines.append("per-depth configurations (first path):")
         lines.append("  depth      A      B")
         for depth, (count_a, count_b) in histogram.items():
             flag = "" if count_a == count_b else "  <-"
@@ -459,7 +470,8 @@ def render_table(report: Dict[str, Any]) -> str:
     if divergence:
         first = divergence["first_divergence"]
         lines.append(
-            f"divergence exhibit: execution {divergence['id']} "
+            f"divergence exhibit: configuration {divergence['config']}, "
+            f"first reached by execution {divergence['id']} "
             f"(depth {divergence['depth']}, only in {divergence['side']})"
         )
         decision = first.get("decision")
@@ -470,7 +482,7 @@ def render_table(report: Dict[str, Any]) -> str:
         )
         lines.append(
             f"first divergence: index {first['index']} — {decision_text} "
-            f"(prefix shared by {first['shared_by_other']} execution(s) "
+            f"(prefix shared by {first['shared_by_other']} first path(s) "
             "on the other side)"
         )
         if divergence.get("lanes"):
@@ -478,8 +490,8 @@ def render_table(report: Dict[str, Any]) -> str:
         elif divergence.get("render_error"):
             lines.append(f"(lane view unavailable: {divergence['render_error']})")
     meanings = {
-        EXIT_SAME: "same execution set, same verdict",
-        EXIT_SET_DIFFERS: "different execution set (verdicts agree)",
+        EXIT_SAME: "same configuration set, same verdict",
+        EXIT_SET_DIFFERS: "different configuration set (verdicts agree)",
         EXIT_VERDICT_DIVERGES: "VERDICT DIVERGENCE",
     }
     code = report["exit_code"]

@@ -1,60 +1,62 @@
-"""Execution-set digests: the set of runs behind a verdict, as an artifact.
+"""Execution sets: the final configurations behind a verdict, as an artifact.
 
-Every verdict the explorer produces is a claim about a *set of
-executions* — Gafni's "captured by a set of runs" framing made literal.
-Until now that set existed only as a scalar count; two runs that visited
-the same *number* of executions could silently have visited different
-executions (the exact failure mode frontier sharding and DPOR-style
-reductions must be audited against).  This module turns execution-set
-identity into a content-addressed, persisted, diffable artifact.
+Every verdict the explorer produces (agreement counts for O(n,k),
+``all_done``, the set-consensus bounds) is a claim about a set of runs,
+and the part of that set a verdict reads is its *outcomes*: Gafni's
+"captured by a set of runs" framing, kept at the grain the verdicts
+need.  This module persists that set as a content-addressed, diffable
+artifact, so two explorations that visited the same number of
+executions can be checked to have reached the same final
+configurations (the audit that frontier sharding and state-cached or
+DPOR-style reductions need).
 
-Format (``repro-execset/1``): JSONL with one header object, one compact
-record per maximal execution, and one footer object::
+Format (``repro-execset/2``): JSONL with one header object, one compact
+record per distinct final configuration, and one footer object::
 
-    {"format": "repro-execset/1", "spec": {"task": "set-consensus", ...}}
-    {"id": "9f2c01d4a8b3", "depth": 7, "decisions": [[0,0],[1,-1],...],
-     "config": "5b1d9e0a7c4f2e61", "canonical": "e61a...", "distinct": 1,
-     "done": false, "crashes": 1, "recoveries": 0}
+    {"format": "repro-execset/2", "spec": {"task": "set-consensus", ...}}
+    {"canonical": "e61a...", "config": "5b1d9e0a7c4f2e61", "crashes": 1,
+     "decisions": [[0,0],[1,-1],...], "depth": 7, "distinct": 1,
+     "done": false, "executions": 22, "id": "9f2c01d4a8b3",
+     "recoveries": 0}
     ...
-    {"format": "repro-execset/1", "footer": true, "records": 42,
-     "digest": "<64 hex>", "base_digest": null, "base_records": 0,
-     "merged_digest": "<64 hex>", "total_records": 42}
+    {"format": "repro-execset/2", "footer": true, "records": 42,
+     "executions": 720, "digest": "<64 hex>", "merged_digest": "<64 hex>",
+     "total_records": 42, "total_executions": 720}
 
 Per-record fields:
 
-``id``
-    :func:`repro.obs.fingerprint.content_id` over the execution's
-    ``full_decisions`` + ``crashes`` + ``recoveries`` — the same material
-    (and hashing convention) as witness bundle ids, so an execution's
-    identity is invariant between live capture and replayed capture.
-``decisions``
-    The ``full_decisions`` sequence itself (crash/recovery sentinels
-    inline), so a missing execution can be replayed through
-    :meth:`~repro.runtime.system.SystemSpec.replay` and rendered by
-    :mod:`repro.obs.explain` when two runs diverge.
 ``config`` / ``canonical``
     The final configuration's exact and pid-symmetry-quotiented
-    fingerprints (:mod:`repro.obs.fingerprint`).
-``depth`` / ``distinct`` / ``done`` / ``crashes`` / ``recoveries``
-    Decision depth and the execution's verdict contribution: how many
-    distinct values were decided, whether every process finished, and
-    the fault counts.
+    fingerprints (:mod:`repro.obs.fingerprint`).  ``config`` keys the
+    record: a file holds each configuration once.
+``distinct`` / ``done``
+    The verdict fields: how many distinct values were decided, and
+    whether every process finished.  The configuration fixes both.
+``executions``
+    How many maximal executions of the walk end in this configuration.
+``decisions`` / ``depth`` / ``crashes`` / ``recoveries`` / ``id``
+    The exhibit: the first execution in walk order that reaches the
+    configuration.  ``decisions`` is its ``full_decisions`` (crash and
+    recovery sentinels inline), so :meth:`~repro.runtime.system.
+    SystemSpec.replay` and :mod:`repro.obs.explain` can rebuild it when
+    two runs diverge; ``id`` is its :func:`execution_id`.  A DFS that
+    skips only nodes it has visited before (a state cache) reaches each
+    configuration first along the same path, so the exhibit survives
+    such a reduction.
 
-Records are written sorted by ``id`` and carry no wall-clock, so two
-identical explorations produce byte-identical files.  The footer digest
-is **order-independent**: the XOR of the full sha256 of each distinct
-record id.  XOR over a *set* of ids makes shard digests mergeable
-without ordering guarantees — the digest of a disjoint union is the XOR
-of the shard digests, and any permutation of the records folds to the
-same value.  A resumed run seeds its digest from the checkpoint header's
-``execset`` entry (see :mod:`repro.faults.checkpoint`), so
-``merged_digest`` covers the whole multi-session exploration while
-``digest`` covers only this file's records.
+Records are written sorted by ``config`` and carry no wall-clock, so
+two identical explorations write byte-identical files.  The footer
+digest is :func:`set_digest`, the sha256 of the sorted fingerprints
+joined by newlines: it names the set, so any visiting order, shard
+split or resume split of one exploration gives the same digest.  A
+resumed run starts from the checkpoint header's ``execset`` entry (the
+sorted fingerprints so far and the execution count, see
+:mod:`repro.faults.checkpoint`); its file header keeps that entry as
+``base``, ``digest`` covers this file's records and ``merged_digest``
+the union with the base, i.e. the whole multi-session exploration.
 
 ``repro diff`` (:mod:`repro.obs.diff`) consumes these files (directly or
-through the run ledger) and compares two runs on set identity, not just
-counts — the acceptance instrument for the ROADMAP's sharding and
-DPOR/symmetry items.
+through the run ledger) and compares two runs on set identity.
 """
 
 from __future__ import annotations
@@ -62,20 +64,14 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set
 
 from repro.fsutil import LineStats, read_json_objects, write_atomic
 from repro.obs import events as _events
 from repro.obs import ledger as _ledger
-from repro.obs.fingerprint import (
-    CONTENT_ID_LENGTH,
-    FINGERPRINT_LENGTH,
-    config_fingerprints,
-    content_digest,
-    content_id,
-)
+from repro.obs.fingerprint import config_fingerprints, content_digest, content_id
 
-FORMAT = "repro-execset/1"
+FORMAT = "repro-execset/2"
 
 #: Default directory for ``repro explore``'s digest streams, next to the
 #: run ledger and witness bundles.
@@ -88,9 +84,6 @@ def default_dir() -> str:
     ``$REPRO_LEDGER``), else :data:`DEFAULT_DIR`."""
     return os.environ.get("REPRO_EXECSET_DIR") or DEFAULT_DIR
 
-#: The empty set's digest: 256 zero bits, as hex.
-ZERO_DIGEST = "0" * 64
-
 #: Hex digits of the digest surfaced in tables, ledgers, and dashboards
 #: (the full 64-hex value is kept in files and JSON for comparisons).
 SHORT_DIGEST_LENGTH = 16
@@ -100,49 +93,22 @@ def execution_id(execution: Any) -> str:
     """Content address of one maximal execution.
 
     Hashes ``full_decisions`` + ``crashes`` + ``recoveries`` through
-    :func:`~repro.obs.fingerprint.content_id` — the witness-id material —
+    :func:`~repro.obs.fingerprint.content_id`, the witness-id material,
     so live and replayed captures of the same execution share an id.
-    The raw tuple sequences are hashed directly: JSON serializes tuples
-    and lists identically, so the id matches the list form persisted in
-    the stream without per-execution list rebuilding (this runs once per
-    maximal execution on the explorer hot path).
     """
     return content_id(
         [execution.full_decisions, execution.crashes, execution.recoveries]
     )
 
 
-def fold_digest(digest_hex: str, record_id: str) -> str:
-    """Fold one record id into a rolling set digest (XOR of sha256s).
+def set_digest(configs: Iterable[str]) -> str:
+    """Digest of a set of configuration fingerprints: the sha256 of the
+    sorted distinct fingerprints joined by newlines.
 
-    XOR is commutative and associative, so any permutation of the same
-    records folds to the same digest — the property the merge and
-    resume paths rely on.
+    Order and multiplicity do not matter, so overlapping shards merge to
+    the digest of their union.
     """
-    return format(
-        int(digest_hex, 16) ^ int(content_digest(record_id), 16), "064x"
-    )
-
-
-def set_digest(ids: Iterable[str]) -> str:
-    """The order-independent digest of a *set* of record ids.
-
-    Duplicates are folded once: the digest names the set, not the
-    multiset, so overlapping shards merge to the digest of their union.
-    """
-    accumulator = int(ZERO_DIGEST, 16)
-    seen = set()
-    for record_id in ids:
-        if record_id in seen:
-            continue
-        seen.add(record_id)
-        accumulator ^= int(content_digest(record_id), 16)
-    return format(accumulator, "064x")
-
-
-def merge_digests(a: str, b: str) -> str:
-    """Digest of a disjoint union, from the two shard digests."""
-    return format(int(a, 16) ^ int(b, 16), "064x")
+    return content_digest("\n".join(sorted(set(configs))))
 
 
 def short_digest(digest_hex: Optional[str]) -> str:
@@ -152,84 +118,35 @@ def short_digest(digest_hex: Optional[str]) -> str:
     return str(digest_hex)[:SHORT_DIGEST_LENGTH]
 
 
-def record_for(
-    execution: Any, system: Optional[Any] = None,
-    value_alphabet: Optional[List[Any]] = None,
-) -> Dict[str, Any]:
-    """Build one ``repro-execset/1`` record from a maximal execution.
-
-    ``system`` is the live (or replayed) :class:`~repro.runtime.system.
-    System` at the execution's final configuration; when given, the
-    record carries its exact and canonical fingerprints
-    (:func:`config_fingerprints`).  :class:`ExecutionSetRecorder` does
-    not call this: it builds the same record directly as its line text,
-    and this function is the reference the tests compare those lines
-    against.
-    """
-    decisions = execution.full_decisions
-    crashes = execution.crashes
-    recoveries = execution.recoveries
-    record: Dict[str, Any] = {
-        "id": content_id([decisions, crashes, recoveries]),
-        "depth": len(decisions),
-        "decisions": decisions,
-        "distinct": len(execution.distinct_outputs()),
-        "done": execution.all_done(),
-        "crashes": len(crashes),
-        "recoveries": len(recoveries),
-    }
-    if system is not None:
-        record["config"], record["canonical"] = config_fingerprints(
-            system, value_alphabet
-        )
-    return record
-
-
 def _record_json(record: Dict[str, Any]) -> str:
     """One stream line: sorted keys, no whitespace."""
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
-def _pairs_json(pairs: List[Tuple[int, int]]) -> str:
-    """:func:`~repro.obs.fingerprint.stable_json` text of a list of int
-    pairs (decisions or fault records), built without the encoder."""
-    return "[" + ",".join([f"[{a},{b}]" for a, b in pairs]) + "]"
-
-
-def _verdict_json(execution: Any) -> str:
-    """The ``"distinct":…,"done":…,`` text of a record line."""
-    done = "true" if execution.all_done() else "false"
-    return f'"distinct":{len(execution.distinct_outputs())},"done":{done},'
 
 
 # ----------------------------------------------------------------------
 # The recorder (attachable to an Explorer)
 # ----------------------------------------------------------------------
 class ExecutionSetRecorder:
-    """Accumulates one run's execution-set records and rolling digest.
+    """Accumulates one run's final configurations.
 
     Attach to an :class:`~repro.runtime.explorer.Explorer` as one of its
     ``observers``: :meth:`observe` is called once per maximal execution
     with the live system still at its final configuration, and
     :meth:`checkpoint_state` rides in the explorer's checkpoints.
-    Purely observational — the walk order and every verdict are
+    Purely observational: the walk order and every verdict are
     identical with and without it.
 
-    Each execution is serialized once, at :meth:`observe` time: its
-    decisions (the explorer's walk prefix, see
-    :attr:`~repro.runtime.execution.Execution.walk_prefix`) become
-    compact JSON text, the id hashes that text, and a new id becomes its
-    final record line in :attr:`lines`.  Per execution that is one
-    ``System.identity()`` lookup, one id hash, one digest fold and one
-    line built; the fingerprints and verdict fields cost a snapshot and
-    two hashes per *distinct* final configuration, and :meth:`write`
-    only sorts the lines.  The lines are byte-equal to
-    ``json.dumps(record_for(...), sort_keys=True, separators=(",",
-    ":"))``, the reference the tests compare against.
+    Many executions funnel into few final configurations (6,540
+    crash-recovery executions of O(1,2) end in 300), so per execution
+    :meth:`observe` does one ``System.identity()`` lookup and one counter
+    increment.  The snapshot, fingerprints, verdict fields and exhibit id
+    are built once per new identity, and :meth:`write` serializes one
+    record per configuration.
 
-    ``base_digest``/``base_records`` seed a resumed run from its
-    checkpoint header's digest-so-far, making ``merged_digest`` cover
-    the whole multi-session exploration.
+    ``base`` is a checkpoint header's ``execset`` entry (``{"configs":
+    [...], "executions": N}``): a resumed run unions its records with
+    that set, so :attr:`merged_digest` covers the whole multi-session
+    exploration.
     """
 
     def __init__(
@@ -237,88 +154,96 @@ class ExecutionSetRecorder:
         path: Optional[str] = None,
         spec_meta: Optional[Dict[str, Any]] = None,
         value_alphabet: Optional[List[Any]] = None,
-        base_digest: Optional[str] = None,
-        base_records: int = 0,
+        base: Optional[Dict[str, Any]] = None,
     ):
         self.path = path
         self.spec_meta = dict(spec_meta or {})
         self.value_alphabet = value_alphabet
-        self.base_digest = base_digest
-        self.base_records = int(base_records)
-        #: ``id -> record line`` (sorted-key compact JSON), in observation
-        #: order; one entry per distinct execution of this run.
-        self.lines: Dict[str, str] = {}
-        self._digest = int(ZERO_DIGEST, 16)
-        #: ``System.identity() -> ('{"canonical":...,"config":...,',
-        #: '"distinct":...,"done":...,')``: the text of every line ending
-        #: in that configuration that the configuration alone fixes.  Many
-        #: executions funnel into few final configurations (6,540
-        #: crash-recovery executions of O(1,2) end in 300), so the
-        #: snapshot, JSON and hashes run once per distinct configuration.
-        self._by_identity: Dict[Any, Tuple[str, str]] = {}
+        self.base = dict(base) if base else None
+        self.base_configs: Set[str] = set((base or {}).get("configs") or ())
+        self.base_executions = int((base or {}).get("executions") or 0)
+        #: ``config -> record``, one per distinct final configuration of
+        #: this run, in first-reach order.
+        self.records: Dict[str, Dict[str, Any]] = {}
+        #: ``System.identity() -> record``: equal identities imply equal
+        #: configurations, so a known identity only bumps its record.
+        self._by_identity: Dict[Any, Dict[str, Any]] = {}
 
-    def observe(self, execution: Any, system: Optional[Any] = None) -> None:
-        """Fold one maximal execution into the set (hot-path hook)."""
-        full_decisions = execution.full_decisions
-        crashes = execution.crashes
-        recoveries = execution.recoveries
-        decisions = _pairs_json(full_decisions)
-        # The stable_json text of [full_decisions, crashes, recoveries],
-        # i.e. execution_id's material, built around the decisions text.
-        record_id = content_digest(
-            f"[{decisions},{_pairs_json(crashes)},{_pairs_json(recoveries)}]"
-        )[:CONTENT_ID_LENGTH]
-        if record_id in self.lines:
-            return
-        if system is None:
-            opening, verdict = "{", _verdict_json(execution)
-        else:
-            key = system.identity()
-            cached = self._by_identity.get(key)
-            if cached is None:
-                config, canonical = config_fingerprints(
-                    system, self.value_alphabet
-                )
-                cached = self._by_identity[key] = (
-                    f'{{"canonical":"{canonical}","config":"{config}",',
-                    _verdict_json(execution),
-                )
-            opening, verdict = cached
-        self.lines[record_id] = (
-            f'{opening}"crashes":{len(crashes)},"decisions":{decisions},'
-            f'"depth":{len(full_decisions)},{verdict}"id":"{record_id}",'
-            f'"recoveries":{len(recoveries)}}}'
-        )
-        self._digest ^= int(content_digest(record_id), 16)
+    def observe(self, execution: Any, system: Any) -> None:
+        """Count one maximal execution toward its final configuration
+        (hot-path hook)."""
+        key = system.identity()
+        record = self._by_identity.get(key)
+        if record is None:
+            record = self._by_identity[key] = self._reach(execution, system)
+        record["executions"] += 1
+
+    def _reach(self, execution: Any, system: Any) -> Dict[str, Any]:
+        """The record of ``system``'s configuration, created with
+        ``execution`` as its exhibit when the configuration is new."""
+        config, canonical = config_fingerprints(system, self.value_alphabet)
+        record = self.records.get(config)
+        if record is None:
+            decisions = execution.full_decisions
+            record = self.records[config] = {
+                "config": config,
+                "canonical": canonical,
+                "distinct": len(execution.distinct_outputs()),
+                "done": execution.all_done(),
+                "executions": 0,
+                "decisions": decisions,
+                "depth": len(decisions),
+                "crashes": len(execution.crashes),
+                "recoveries": len(execution.recoveries),
+                "id": execution_id(execution),
+            }
+        return record
 
     # -- digests -------------------------------------------------------
     @property
     def digest(self) -> str:
-        """Digest of this run's own records only."""
-        return format(self._digest, "064x")
+        """Digest of this run's own configurations only."""
+        return set_digest(self.records)
+
+    def configs(self) -> Set[str]:
+        """Every configuration of the exploration so far, the resumed
+        base included."""
+        return self.base_configs | self.records.keys()
 
     @property
     def merged_digest(self) -> str:
         """Digest including the resumed base (equals :attr:`digest` for
         a fresh run)."""
-        if self.base_digest:
-            return merge_digests(self.base_digest, self.digest)
-        return self.digest
+        return set_digest(self.configs())
+
+    @property
+    def executions(self) -> int:
+        """Executions this run observed."""
+        return sum(record["executions"] for record in self.records.values())
 
     @property
     def total_records(self) -> int:
-        return self.base_records + len(self.lines)
+        """Distinct configurations of the whole exploration."""
+        return len(self.configs())
+
+    @property
+    def total_executions(self) -> int:
+        return self.base_executions + self.executions
 
     def checkpoint_state(self) -> Dict[str, Any]:
-        """The digest-so-far carried in checkpoint headers, so a resumed
-        run's merged digest is well-defined."""
-        return {"digest": self.merged_digest, "records": self.total_records}
+        """The set so far, carried in checkpoint headers so a resumed
+        run can union it."""
+        return {
+            "configs": sorted(self.configs()),
+            "executions": self.total_executions,
+        }
 
     def ledger_summary(self) -> Dict[str, Any]:
         """The ``execset`` field recorded in the run ledger."""
         summary: Dict[str, Any] = {
             "digest": self.merged_digest,
             "records": self.total_records,
+            "executions": self.total_executions,
         }
         if self.path:
             summary["path"] = self.path
@@ -326,36 +251,35 @@ class ExecutionSetRecorder:
 
     # -- persistence ---------------------------------------------------
     def write(self, path: Optional[str] = None) -> str:
-        """Atomically write the ``repro-execset/1`` file.
+        """Atomically write the ``repro-execset/2`` file.
 
-        Record lines are sorted by id and the file carries no wall-clock, so
-        two identical explorations write byte-identical artifacts.
-        Emits an ``execset_digest`` event (digest, record counts, path)
-        when the bus is enabled.
+        Records are sorted by ``config`` and the file carries no
+        wall-clock, so two identical explorations write byte-identical
+        artifacts.  Emits an ``execset_digest`` event (digest, record
+        counts, path) when the bus is enabled.
         """
         destination = path or self.path
         if destination is None:
             raise ValueError("no execset path configured")
         header: Dict[str, Any] = {"format": FORMAT, "spec": self.spec_meta}
-        if self.base_digest:
-            header["base_digest"] = self.base_digest
-            header["base_records"] = self.base_records
+        if self.base:
+            header["base"] = self.base
         footer = {
             "format": FORMAT,
             "footer": True,
-            "records": len(self.lines),
+            "records": len(self.records),
+            "executions": self.executions,
             "digest": self.digest,
-            "base_digest": self.base_digest,
-            "base_records": self.base_records,
             "merged_digest": self.merged_digest,
             "total_records": self.total_records,
+            "total_executions": self.total_executions,
         }
-        lines = self.lines
+        records = self.records
         write_atomic(
             destination,
             [
                 _record_json(header),
-                *(lines[record_id] for record_id in sorted(lines)),
+                *(_record_json(records[config]) for config in sorted(records)),
                 _record_json(footer),
             ],
             prefix=".execset-",
@@ -366,7 +290,7 @@ class ExecutionSetRecorder:
             _events.emit(
                 "execset_digest",
                 digest=short_digest(self.merged_digest),
-                records=len(self.lines),
+                records=len(self.records),
                 total_records=self.total_records,
                 path=destination,
             )
@@ -378,11 +302,11 @@ class ExecutionSetRecorder:
 # ----------------------------------------------------------------------
 @dataclass
 class ExecSetFile:
-    """A parsed ``repro-execset/1`` file."""
+    """A parsed ``repro-execset/2`` file."""
 
     path: str
     header: Dict[str, Any] = field(default_factory=dict)
-    #: ``id -> record``, duplicates collapsed.
+    #: ``config -> record``, duplicates collapsed.
     records: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     footer: Dict[str, Any] = field(default_factory=dict)
     skipped: int = 0
@@ -392,31 +316,40 @@ class ExecSetFile:
         return dict(self.header.get("spec") or {})
 
     @property
+    def base_configs(self) -> Set[str]:
+        """The resumed base's configurations (empty for a fresh run)."""
+        base = self.header.get("base")
+        configs = base.get("configs") if isinstance(base, dict) else None
+        return set(configs) if isinstance(configs, list) else set()
+
+    @property
     def own_digest(self) -> str:
         """Digest recomputed from the records actually present."""
         return set_digest(self.records)
 
     @property
-    def merged_digest(self) -> Optional[str]:
-        """The footer's whole-exploration digest (recomputed own digest
-        folded with the declared base when the footer is missing)."""
-        declared = self.footer.get("merged_digest")
-        if isinstance(declared, str) and declared:
-            return declared
-        base = self.header.get("base_digest")
-        if isinstance(base, str) and base:
-            return merge_digests(base, self.own_digest)
-        return self.own_digest
+    def merged_digest(self) -> str:
+        """Digest of the whole exploration, recomputed from the records
+        and the header's resumed base."""
+        return set_digest(self.base_configs | self.records.keys())
+
+    @property
+    def executions(self) -> int:
+        """Executions counted by the records present."""
+        return sum(
+            record["executions"]
+            for record in self.records.values()
+            if isinstance(record.get("executions"), int)
+        )
 
     @property
     def base_records(self) -> int:
-        value = self.footer.get("base_records", self.header.get("base_records"))
-        return int(value) if isinstance(value, int) else 0
+        return len(self.base_configs)
 
     @property
     def partial(self) -> bool:
-        """True when the file's records do not cover the whole digest
-        (a resumed run whose parent file is elsewhere)."""
+        """True when the file's records do not cover the whole
+        exploration (a resumed run whose parent file is elsewhere)."""
         return self.base_records > 0
 
     @property
@@ -433,8 +366,10 @@ def read_execset(path: str) -> ExecSetFile:
     """Parse an execset file, tolerantly.
 
     Same tolerance as the ledger and witness readers: lines that fail to
-    parse are skipped and counted.  Raises ``OSError`` only when the
-    file itself cannot be read.
+    parse, and records without a ``config``, are skipped and counted.  A
+    footer that does not match the records is kept as written
+    (:attr:`ExecSetFile.consistent` reports it).  Raises ``OSError``
+    only when the file itself cannot be read.
     """
     parsed = ExecSetFile(path=path)
     stats = LineStats()
@@ -445,11 +380,11 @@ def read_execset(path: str) -> ExecSetFile:
             else:
                 parsed.header = record
             continue
-        record_id = record.get("id")
-        if not isinstance(record_id, str) or not record_id:
+        config = record.get("config")
+        if not isinstance(config, str) or not config:
             parsed.skipped += 1
             continue
-        parsed.records.setdefault(record_id, record)
+        parsed.records.setdefault(config, record)
     parsed.skipped += stats.skipped
     return parsed
 
@@ -480,16 +415,20 @@ def peek_footer(path: str) -> Optional[Dict[str, Any]]:
     return None
 
 
-def merge_records(
-    files: Iterable[ExecSetFile],
-) -> Tuple[Dict[str, Dict[str, Any]], str]:
-    """Union the records of several shards: ``(records, digest)``.
+def absorb(
+    into: Dict[str, Dict[str, Any]], records: Dict[str, Dict[str, Any]]
+) -> None:
+    """Union ``records`` into ``into``, keyed on ``config``.
 
-    Deduplicates by id, so overlapping shards merge to the union's
-    digest — the property the Hypothesis suite pins.
+    A configuration already present keeps its exhibit (the earlier
+    shard's first path) and adds the other's ``executions``.
     """
-    merged: Dict[str, Dict[str, Any]] = {}
-    for parsed in files:
-        for record_id, record in parsed.records.items():
-            merged.setdefault(record_id, record)
-    return merged, set_digest(merged)
+    for config, record in records.items():
+        kept = into.get(config)
+        if kept is None:
+            into[config] = dict(record)
+        else:
+            kept["executions"] = int(kept.get("executions") or 0) + int(
+                record.get("executions") or 0
+            )
+

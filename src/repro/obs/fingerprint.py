@@ -5,7 +5,9 @@ One hashing convention, several consumers.  :mod:`repro.obs.witness`
 names bundle files by a digest of the deciding execution;
 :mod:`repro.obs.audit` fingerprints every *configuration* the explorer
 visits to measure how much of the schedule tree revisits known states;
-:mod:`repro.obs.execset` names each execution by :func:`content_id`.
+:mod:`repro.obs.execset` keys each final configuration by its
+fingerprint and names the execution that first reaches it by
+:func:`content_id`.
 Keeping them on the same helper means bundle ids, audit state hashes,
 and execution ids cannot drift apart.
 

@@ -29,10 +29,12 @@ can shrink and render.
 
 The ``execset`` key (present when the run recorded an execution-set
 digest, see :mod:`repro.obs.execset`) carries
-``{"digest": <64 hex>, "records": N, "path": ...}`` — the
-content-addressed identity of the set of executions behind the verdict.
-``repro diff`` resolves run ids to these files and compares two runs —
-set digest, set difference, verdict — as sets of executions.
+``{"digest": <64 hex>, "records": N, "executions": M, "path": ...}`` —
+the content-addressed identity of the set of final configurations
+behind the verdict (``records`` configurations, reached by ``executions``
+executions).  ``repro diff`` resolves run ids to these files and
+compares two runs — set digest, set difference, verdict — as sets of
+configurations.
 
 Appends are atomic (:func:`append_record`).  Unknown keys are preserved
 by readers; corrupt lines are skipped and counted (same tolerance as

@@ -46,8 +46,8 @@ name                      kind        meaning
 ``audit_orbit_savings``   gauge       symmetry-reduction headroom
 ``audit_pairs_checked``   gauge       adjacent pairs classified by the audit
 ``audit_commuting_fraction``  gauge   DPOR headroom (commuting pair fraction)
-``execset_records``       gauge       execution-set records in this run's stream
-``execset_total_records``  gauge      records incl. the resumed base (execset)
+``execset_records``       gauge       final configurations in this run's stream
+``execset_total_records``  gauge      configurations incl. the resumed base
 ``execset_streams_written_total``  counter  execset digest streams flushed
 ========================  ==========  ==========================================
 

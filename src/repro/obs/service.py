@@ -234,7 +234,7 @@ def render_service_metrics(manager: JobManager) -> str:
             )
         gauge(
             "repro_execset_records",
-            "Distinct executions in the job's newest execset stream "
+            "Distinct final configurations in the job's newest execset stream "
             "(including any resumed-from base).",
             record_samples,
         )

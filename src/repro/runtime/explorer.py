@@ -173,7 +173,7 @@ class Explorer:
         ``children`` is how many child prefixes it pushes, 0 at a leaf),
         ``observe(execution, system)`` (every maximal execution, before the
         checkpoint write) and ``checkpoint_state()`` (entries of the
-        checkpoint header's ``execset`` digest-so-far).  Purely
+        checkpoint header's ``execset`` set so far).  Purely
         observational: walk order, executions and verdicts are identical
         without them.  The ``system`` passed to a hook is valid only
         during the call: the walk goes on to mutate it (a node's last
@@ -617,7 +617,7 @@ class Explorer:
             execution = system.finalize(prefix)
             # Must precede the checkpoint write below: a checkpoint that
             # counts this execution must also carry it in its execset
-            # digest-so-far, or a crash landing between the two leaves a
+            # set so far, or a crash landing between the two leaves a
             # permanent hole in the resumed run's set (the prefix is
             # already off the frontier).
             for hook in on_execution:

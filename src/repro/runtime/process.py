@@ -20,7 +20,8 @@ trie node runs only the first time a transition is taken (see
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Dict, Generator, List, Mapping, Optional, Tuple
+from itertools import chain
+from typing import Any, Callable, Dict, Generator, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import ProtocolError
 from repro.runtime.ops import Annotation, Operation
@@ -94,19 +95,21 @@ class ProgramMemo:
     of (state, operation), so ``transitions`` maps ``(id(state),
     id(operation))`` to ``(state, operation, outcomes)`` (the entry keeps
     both keyed objects alive, so their ids stay theirs), filled by
-    :meth:`~repro.runtime.system.System.outcomes_for`.  Every state an
-    outcome leads to is first passed through :meth:`canonical`, so equal
-    states reached along different paths are one object with one stored
-    ``repr`` text.  ``forks`` counts :meth:`System.fork
+    :meth:`~repro.runtime.system.System.outcomes_for`.  While recording,
+    every node's pending operation is interned (:meth:`intern`), so equal
+    operations yielded at different nodes are one object and share their
+    entries.  Every state an outcome leads to is first passed through
+    :meth:`canonical`, so equal states reached along different paths are
+    one object with one stored ``repr`` text.  ``forks`` counts :meth:`System.fork
     <repro.runtime.system.System.fork>` calls and ``applies`` the object
     ``apply`` calls behind table misses.
 
     Until a system is forked no control state can be reached twice
     (except a recovered program's root), so transitions are recorded only
-    once ``recording`` is set by the first fork: a live run that never
-    forks pays for no children maps and no transition table, and its
-    nodes, which point only at their parents, are freed by reference
-    counting alone.
+    once :meth:`record` is called by the first fork: a live run that
+    never forks pays for no children maps, no transition table and no
+    interning, and its nodes, which point only at their parents, are
+    freed by reference counting alone.
     """
 
     __slots__ = (
@@ -116,6 +119,7 @@ class ProgramMemo:
         "hits",
         "resumes",
         "transitions",
+        "operations",
         "states",
         "texts",
         "forks",
@@ -129,6 +133,8 @@ class ProgramMemo:
         self.hits = 0
         self.resumes = 0
         self.transitions: Dict[Tuple[int, int], Tuple[Any, Operation, list]] = {}
+        #: Type-tagged operation value -> the one interned equal operation.
+        self.operations: Dict[Any, Operation] = {}
         #: ``repr`` text -> the canonical states with that text.
         self.states: Dict[str, List[Any]] = {}
         #: ``id(canonical state)`` -> its ``repr`` text (the state is kept
@@ -136,6 +142,35 @@ class ProgramMemo:
         self.texts: Dict[int, str] = {}
         self.forks = 0
         self.applies = 0
+
+    def record(self, nodes: Iterable[Optional["ProgramNode"]] = ()) -> None:
+        """Start recording transitions (the first fork).  Nodes made
+        before it that can still be stepped from, the roots (a recovered
+        program re-enters them) and ``nodes`` (the current control
+        states), get their pending operations interned now."""
+        if self.recording:
+            return
+        self.recording = True
+        for node in chain(self.roots.values(), nodes):
+            if node is not None and node.operation is not None:
+                node.operation = self.intern(node.operation)
+
+    def intern(self, operation: Operation) -> Operation:
+        """The memo's one operation equal to ``operation``.
+
+        The key tags every value with its type, as :func:`_response_key`
+        does, because ``Operation('r', 'write', (1,))`` equals
+        ``Operation('r', 'write', (True,))`` yet must not share their
+        object's outcomes.  Operations of another type or with unhashable
+        arguments are returned as they are (their entries key on their
+        own ids)."""
+        if type(operation) is not Operation:
+            return operation
+        try:
+            key = (operation.target, operation.method, _response_key(operation.args))
+            return self.operations.setdefault(key, operation)
+        except TypeError:
+            return operation
 
     def canonical(self, state: Any) -> Any:
         """The canonical object for ``state``: an earlier one with the
@@ -236,6 +271,8 @@ class ProgramMemo:
                 f"process {pid} yielded {item!r}; programs may only "
                 "yield Operation or Annotation values"
             )
+        if self.recording:
+            item = self.intern(item)
         return ProgramNode(parent, response, item, None, annotations, generator)
 
     def _rebuild(self, pid: int, node: ProgramNode) -> Generator:
@@ -302,7 +339,8 @@ class Process:
     def fork(self) -> "Process":
         """An independent copy at the same control state (shares the memo,
         which from now on records transitions)."""
-        self.memo.recording = True
+        if not self.memo.recording:
+            self.memo.record((self.node,))
         clone = Process.__new__(Process)
         clone.pid = self.pid
         clone.memo = self.memo

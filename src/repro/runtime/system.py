@@ -126,7 +126,7 @@ class System:
         """
         memo = self.memo
         if not memo.recording:
-            memo.recording = True
+            memo.record(process.node for process in self.processes)
             states = self.object_states
             for name, state in states.items():
                 states[name] = memo.canonical(state)

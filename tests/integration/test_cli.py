@@ -23,8 +23,9 @@ class TestDescribe:
         assert "paper's ascending-chain" in out
 
     def test_describe_rejects_bad_level(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SystemExit) as excinfo:
             main(["describe", "2", "0"])
+        assert excinfo.value.code == 2
 
 
 class TestCurves:
@@ -655,8 +656,11 @@ class TestExecsetAndDiff:
         ) == 0
         out = capsys.readouterr().out
         assert "(SAME SET)" in out
-        assert f"records: {fresh['execset']['records']} vs " \
-            f"{fresh['execset']['records']}" in out
+        configs = fresh["execset"]["records"]
+        executions = fresh["execset"]["executions"]
+        assert configs < executions == fresh["executions"]
+        assert f"configurations: {configs} vs {configs} " \
+            f"(executions: {executions} vs {executions})" in out
 
 
 class TestLifecycle:
@@ -692,7 +696,8 @@ class TestLifecycle:
     def test_explore_sigint_resume_covers_the_fresh_set(self, tmp_path, capsys):
         """SIGINT stops the walk between nodes, so the checkpoint keeps
         the subtree of the node in flight: the interrupted and the resumed
-        streams together hold exactly the fresh walk's executions."""
+        streams together hold exactly the fresh walk's configurations,
+        and count its executions."""
         from repro.faults.checkpoint import read_checkpoint
         from repro.obs import events
         from repro.obs.execset import read_execset
@@ -721,13 +726,15 @@ class TestLifecycle:
         assert main(common + ["--execset-out", str(tmp_path / "full.jsonl")]) == 0
         capsys.readouterr()
 
-        def ids(name):
-            return list(read_execset(str(tmp_path / name)).records)
-
-        first, second, fresh = ids("a.jsonl"), ids("b.jsonl"), ids("full.jsonl")
-        assert interrupted.executions == len(first) > 0
-        assert len(first) + len(second) == len(fresh)
-        assert set(first) | set(second) == set(fresh)
+        first, second, fresh = (
+            read_execset(str(tmp_path / name))
+            for name in ("a.jsonl", "b.jsonl", "full.jsonl")
+        )
+        assert interrupted.executions == first.executions > 0
+        assert first.executions + second.executions == fresh.executions
+        assert set(first.records) | set(second.records) == set(fresh.records)
+        assert interrupted.execset["configs"] == sorted(first.records)
+        assert second.merged_digest == fresh.own_digest
 
     @pytest.mark.parametrize("script", [
         # Only ``repro serve`` needs the HTTP stack (and its ``email``

@@ -132,9 +132,11 @@ class TestAcceptance:
             assert by_id[resumed_id]["verdict"] == "proved"
 
             # The resumed run's ledger record carries the merged
-            # execution-set digest, seeded across the SIGKILL from the
-            # checkpoint header's digest-so-far.
-            assert by_id[resumed_id]["execset"]["records"] == 21720
+            # execution set, unioned across the SIGKILL with the
+            # checkpoint header's set so far: 21,720 executions end in
+            # 474 final configurations.
+            assert by_id[resumed_id]["execset"]["records"] == 474
+            assert by_id[resumed_id]["execset"]["executions"] == 21720
             assert len(by_id[resumed_id]["execset"]["digest"]) == 64
 
             # /metrics verdict tallies match the ledger.

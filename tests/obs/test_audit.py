@@ -240,7 +240,7 @@ class TestExplorationUnchanged:
             if isinstance(observer, StateAuditor):
                 assert observer.executions == len(plain)
             else:
-                assert len(observer.lines) == len(plain)
+                assert observer.executions == len(plain)
 
 
 class TestPairClassification:

@@ -141,30 +141,20 @@ class TestLedgerTargets:
         """A run chain (interrupted + resumed) diffs as one merged set
         against a single-session file of the same exploration."""
         full = execset.read_execset(str(pair / "a.jsonl"))
-        ids = sorted(full.records)
-        half = len(ids) // 2
+        configs = sorted(full.records)
+        half = len(configs) // 2
         first = execset.ExecutionSetRecorder(
             path=str(pair / "part1.jsonl"), spec_meta=SPEC_META
         )
-        for record_id in ids[:half]:
-            first.lines[record_id] = json.dumps(
-                full.records[record_id], sort_keys=True, separators=(",", ":")
-            )
-            first._digest ^= int(
-                execset.content_digest(record_id), 16
-            )
+        for config in configs[:half]:
+            first.records[config] = dict(full.records[config])
         first.write()
         second = execset.ExecutionSetRecorder(
             path=str(pair / "part2.jsonl"), spec_meta=SPEC_META,
-            base_digest=first.digest, base_records=half,
+            base=first.checkpoint_state(),
         )
-        for record_id in ids[half:]:
-            second.lines[record_id] = json.dumps(
-                full.records[record_id], sort_keys=True, separators=(",", ":")
-            )
-            second._digest ^= int(
-                execset.content_digest(record_id), 16
-            )
+        for config in configs[half:]:
+            second.records[config] = dict(full.records[config])
         second.write()
         ledger_path = self.make_ledger(pair, [
             {"run_id": "run-1", "verdict": "inconclusive",
@@ -178,7 +168,7 @@ class TestLedgerTargets:
         )
         assert report["exit_code"] == obs_diff.EXIT_SAME
         assert report["a"]["complete"] is True
-        assert report["a"]["records"] == len(ids)
+        assert report["a"]["records"] == len(configs)
         assert set(report["a"]["run_ids"]) == {"run-1", "run-2"}
 
     def test_missing_execset_file_reported_incomplete(self, pair):

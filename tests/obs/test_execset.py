@@ -1,17 +1,26 @@
-"""Tests for execution-set digest streams (``repro.obs.execset``)."""
+"""Tests for execution-set streams (``repro.obs.execset``)."""
 
+import hashlib
 import json
+import signal
+from pathlib import Path
 
 import pytest
 
 from repro.algorithms.set_consensus_from_family import consensus_spec
 from repro.obs import execset
+from repro.obs import events
+from repro.obs import fingerprint
 from repro.obs import ledger
-from repro.obs.fingerprint import configuration_fingerprint
+from repro.obs.fingerprint import config_fingerprints, configuration_fingerprint
 from repro.obs.witness import resolve_spec
 from repro.runtime.explorer import Explorer
 
 INPUTS = ["v0", "v1"]
+
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parents[2] / "perfbench" / "golden.json").read_text()
+)
 
 
 def tiny_spec():
@@ -19,10 +28,11 @@ def tiny_spec():
     return consensus_spec(2, 1, INPUTS)
 
 
-def explore_all(execset_recorder=None, max_depth=200):
+def explore_all(execset_recorder=None, max_depth=200, **faults):
     explorer = Explorer(
         tiny_spec(), max_depth=max_depth, strict=False,
         observers=[] if execset_recorder is None else [execset_recorder],
+        **faults,
     )
     return list(explorer.executions())
 
@@ -35,28 +45,17 @@ def _no_dangling_recorder():
 
 
 class TestDigestAlgebra:
-    def test_empty_set_is_zero(self):
-        assert execset.set_digest([]) == execset.ZERO_DIGEST
+    def test_empty_set_is_sha256_of_nothing(self):
+        assert execset.set_digest([]) == hashlib.sha256(b"").hexdigest()
 
     def test_order_independent(self):
-        ids = ["aa", "bb", "cc"]
-        assert execset.set_digest(ids) == execset.set_digest(reversed(ids))
+        configs = ["aa", "bb", "cc"]
+        assert execset.set_digest(configs) == \
+            execset.set_digest(reversed(configs))
 
-    def test_duplicates_do_not_double_fold(self):
+    def test_duplicates_count_once(self):
         assert execset.set_digest(["aa", "bb", "aa"]) == \
             execset.set_digest(["aa", "bb"])
-
-    def test_fold_is_involutive(self):
-        """XOR folding the same id twice cancels — the property that
-        makes overlap-tolerant merging possible at all."""
-        once = execset.fold_digest(execset.ZERO_DIGEST, "aa")
-        assert execset.fold_digest(once, "aa") == execset.ZERO_DIGEST
-
-    def test_merge_of_disjoint_shards_is_union(self):
-        a, b = ["aa", "bb"], ["cc"]
-        assert execset.merge_digests(
-            execset.set_digest(a), execset.set_digest(b)
-        ) == execset.set_digest(a + b)
 
     def test_short_digest_handles_missing(self):
         assert execset.short_digest(None) == "n/a"
@@ -79,30 +78,45 @@ class TestExecutionId:
         assert len(ids) == len(explore_all())
 
 
-class TestRecordFor:
-    def test_fields(self):
-        spec = tiny_spec()
-        execution = explore_all()[0]
+def reference_records(executions, spec, alphabet=None):
+    """The records a recorder must hold after observing ``executions`` in
+    order, built uncached: each execution is replayed on ``spec`` and
+    fingerprinted from scratch; the first to reach a configuration is its
+    exhibit, and every one counts toward ``executions``."""
+    expected = {}
+    for execution in executions:
         system = spec.replay(execution.full_decisions)
         system.finalize()
-        record = execset.record_for(
-            execution, system=system, value_alphabet=INPUTS
-        )
-        assert record["id"] == execset.execution_id(execution)
-        assert record["depth"] == len(execution.full_decisions)
-        # Tuples in memory, arrays on disk: JSON writes both identically.
-        assert [list(d) for d in record["decisions"]] == [
-            [pid, choice] for pid, choice in execution.full_decisions
-        ]
-        assert record["distinct"] == len(execution.distinct_outputs())
-        assert record["done"] is True
-        assert record["crashes"] == 0 and record["recoveries"] == 0
-        assert len(record["config"]) == execset.FINGERPRINT_LENGTH
-        assert len(record["canonical"]) == execset.FINGERPRINT_LENGTH
+        config, canonical = config_fingerprints(system, alphabet)
+        if config not in expected:
+            decisions = execution.full_decisions
+            expected[config] = {
+                "config": config,
+                "canonical": canonical,
+                "distinct": len(execution.distinct_outputs()),
+                "done": execution.all_done(),
+                "executions": 0,
+                "decisions": [list(d) for d in decisions],
+                "depth": len(decisions),
+                "crashes": len(execution.crashes),
+                "recoveries": len(execution.recoveries),
+                "id": execset.execution_id(execution),
+            }
+        expected[config]["executions"] += 1
+    return expected
 
-    def test_without_system_omits_fingerprints(self):
-        record = execset.record_for(explore_all()[0])
-        assert "config" not in record and "canonical" not in record
+
+def assert_matches_reference(tmp_path, recorder, executions, spec, alphabet=None):
+    """``recorder``'s written records equal :func:`reference_records`,
+    one line per configuration, sorted by ``config``."""
+    expected = reference_records(executions, spec, alphabet)
+    written = recorder.write(str(tmp_path / "reference.jsonl"))
+    with open(written, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()[1:-1]
+    assert lines == [
+        json.dumps(expected[config], sort_keys=True, separators=(",", ":"))
+        for config in sorted(expected)
+    ]
 
 
 class IdentityProbe:
@@ -188,74 +202,26 @@ class TestConfigurationIdentity:
         ]
         assert blocked
 
-    def test_cached_fingerprints_match_uncached(self, tmp_path):
-        """Crash-recovery walk: every written line equals its uncached
-        ``record_for`` reference, including same-step fault runs.
+    def test_cached_records_match_uncached(self, tmp_path):
+        """Crash-recovery walk: every written record equals its uncached
+        reference, including same-step fault runs.
 
         The walk takes a run of fault decisions in merge order, so a
         same-step "recover p, crash q" with ``p < q`` is walked
-        crash-first, and each line's decisions are the walk prefix; the
-        reference replays them and rebuilds the fingerprints uncached.
+        crash-first, and each exhibit's decisions are the walk prefix;
+        the reference replays them and rebuilds the fingerprints
+        uncached.
         """
         recorder = execset.ExecutionSetRecorder(value_alphabet=INPUTS)
-        explorer = Explorer(
-            tiny_spec(), strict=False, max_crashes=2, max_recoveries=2,
-            observers=[recorder],
-        )
-        executions = list(explorer.executions())
+        executions = explore_all(recorder, max_crashes=2, max_recoveries=2)
         assert any(
             recovered_at == crashed_at and recovered < crashed
             for execution in executions
             for recovered_at, recovered in execution.recoveries
             for crashed_at, crashed in execution.crashes
         )
-        assert len(recorder.lines) == len(executions)
-        assert_lines_match_reference(
-            tmp_path, recorder, executions, tiny_spec(), INPUTS
-        )
-
-    def test_recovery_walk_call_counts(self, monkeypatch):
-        """The crash-recovery instance ``repro explore --task
-        set-consensus --n 1 --k 2 --max-crashes 2 --max-recoveries 2``
-        (perfbench's ``explore-recovery``): 6,540 executions end in 300
-        distinct final configurations, each fingerprinted once, and no
-        record is re-merged (each execution carries its walk prefix)."""
-        from repro.runtime import execution
-
-        calls = {"merge_fault_decisions": 0, "config_fingerprints": 0}
-
-        def counted(module, name):
-            real = getattr(module, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, wrapper)
-
-        counted(execution, "merge_fault_decisions")
-        counted(execset, "config_fingerprints")
-        meta = {"task": "set-consensus", "n": 1, "k": 2}
-        spec = resolve_spec({"spec": meta})
-        recorder = execset.ExecutionSetRecorder(
-            spec_meta=meta,
-            value_alphabet=[f"v{i}" for i in range(spec.n_processes)],
-        )
-        explorer = Explorer(
-            spec, max_depth=60, strict=False, max_crashes=2,
-            max_recoveries=2, observers=[recorder],
-        )
-        assert sum(1 for _ in explorer.executions()) == 6540
-        assert recorder.total_records == 6540
-        assert calls == {"merge_fault_decisions": 0, "config_fingerprints": 300}
-        # perfbench/golden.json records the same set digest.
-        assert recorder.digest.startswith("d0c6f4088743c5d9")
-
-
-class TestRecordLines:
-    """The recorder builds each record line as text at observe time;
-    ``record_for`` is the reference those lines must equal byte for
-    byte (see :func:`assert_lines_match_reference`)."""
+        assert len(recorder.records) < len(executions) == recorder.executions
+        assert_matches_reference(tmp_path, recorder, executions, tiny_spec(), INPUTS)
 
     def test_blocked_executions_match_reference(self, tmp_path):
         recorder = execset.ExecutionSetRecorder()
@@ -267,63 +233,163 @@ class TestRecordLines:
             "blocked" in {s.value for s in e.statuses.values()}
             for e in executions
         )
-        assert_lines_match_reference(tmp_path, recorder, executions, hang_spec())
+        assert_matches_reference(tmp_path, recorder, executions, hang_spec())
 
-    def test_without_system_matches_reference(self, tmp_path):
-        executions = explore_all()
-        recorder = execset.ExecutionSetRecorder()
-        for execution in executions:
-            recorder.observe(execution, None)
-        assert_lines_match_reference(tmp_path, recorder, executions, None)
-        assert all(
-            '"config"' not in line and '"canonical"' not in line
-            for line in recorder.lines.values()
-        )
 
-    def test_resumed_recorder_matches_reference(self, tmp_path):
-        executions = explore_all()
-        half = len(executions) // 2
+class TestRecorderCost:
+    """Exact-count gate: per execution the recorder does one identity
+    lookup and one counter increment; fingerprints, exhibit ids and every
+    sha256 run once per distinct final configuration."""
+
+    @pytest.mark.parametrize(
+        "workload, n, k, faults, executions",
+        [
+            ("explore-recovery", 1, 2, (2, 2), 6540),
+            ("serve-worker", 2, 1, (1, 0), 5040),
+        ],
+    )
+    def test_walk_call_counts(self, monkeypatch, tmp_path, workload, n, k,
+                              faults, executions):
+        from repro.runtime import execution
+
+        calls = {"merge_fault_decisions": 0, "config_fingerprints": 0,
+                 "content_id": 0, "sha256": 0}
+
+        def counted(module, name, key=None):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key or name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(execution, "merge_fault_decisions")
+        counted(execset, "config_fingerprints")
+        counted(execset, "content_id")
+        counted(fingerprint.hashlib, "sha256")
+        meta = {"task": "set-consensus", "n": n, "k": k}
+        spec = resolve_spec({"spec": meta})
         recorder = execset.ExecutionSetRecorder(
-            value_alphabet=INPUTS,
-            base_digest=execset.set_digest(
-                execset.execution_id(e) for e in executions[:half]
-            ),
-            base_records=half,
+            spec_meta=meta,
+            value_alphabet=[f"v{i}" for i in range(spec.n_processes)],
         )
-        spec = tiny_spec()
-        for execution in executions[half:]:
-            system = spec.replay(execution.full_decisions)
-            recorder.observe(system.finalize(), system)
-        assert_lines_match_reference(
-            tmp_path, recorder, executions[half:], tiny_spec(), INPUTS
+        explorer = Explorer(
+            spec, max_depth=60, strict=False, max_crashes=faults[0],
+            max_recoveries=faults[1], observers=[recorder],
         )
+        assert sum(1 for _ in explorer.executions()) == executions
+        golden = GOLDEN[workload]
+        configs = golden["configs"]
+        # Two fingerprints and one exhibit id per configuration.
+        assert calls == {"merge_fault_decisions": 0, "config_fingerprints": configs,
+                         "content_id": configs, "sha256": 3 * configs}
+        assert sum(r["executions"] for r in recorder.records.values()) == executions
+        path = recorder.write(str(tmp_path / "set.jsonl"))
+        assert calls["sha256"] < 3 * configs + 10
+        with open(path, encoding="utf-8") as handle:
+            footer = json.loads(handle.read().splitlines()[-1])
+        assert footer["records"] == configs
+        assert footer["executions"] == executions
+        assert footer["digest"] == golden["configs_digest"]
 
 
-def assert_lines_match_reference(tmp_path, recorder, executions, spec,
-                                 alphabet=None):
-    """Every record line ``recorder`` writes is byte-equal to
-    ``record_for`` dumped with sorted keys and compact separators, keyed
-    by ``execution_id``; fingerprints come from an uncached replay on
-    ``spec`` (``None``: a record without fingerprints)."""
-    expected = {}
-    for execution in executions:
-        system = None
-        if spec is not None:
-            system = spec.replay(execution.full_decisions)
-            system.finalize()
-        record = execset.record_for(
-            execution, system=system, value_alphabet=alphabet
-        )
-        assert record["id"] == execset.execution_id(execution)
-        expected[record["id"]] = json.dumps(
-            record, sort_keys=True, separators=(",", ":")
-        )
-    written = str(tmp_path / "reference.jsonl")
-    recorder.write(written)
-    with open(written, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()[1:-1]
-    assert lines == [expected[record_id] for record_id in sorted(expected)]
-    assert recorder.lines == expected
+#: The ``config`` column of the streams the earlier ``repro-execset/1``
+#: recorder wrote for each CLI walk the CI smoke pins: (distinct
+#: configurations, sha256 of the sorted column joined by newlines).  A
+#: ``/2`` stream of the same walk must hold exactly that set, so its
+#: footer digest is this sha256.
+EXECUTION_ID_STREAM_CONFIGS = {
+    "a": (48, "3aa0c031e121b05e833d2b268dda582c836c7ee8d85c6349ebe61c3939cc6599"),
+    "short": (6, "18eb576f13123a20311bb9985215a3194f626d770d2e7e695e67ff0f7bce3e71"),
+    "rec": (300, "e035fd6507b0d5bd6d1839361046c71224be51f9ce9f9c7a0361117681a33f1f"),
+    "rec-r1": (160, "569fdb3fab5735bbac8b2a18eadf5fb8b5b8fba8e5b83641f9070246c0810e35"),
+    "crash": (192, "22705ed6ba66072448ac53feeceb9a284651ee2f64869b181b72109919c91e6e"),
+    "budget-1": (226, "1e007ef61678f38f1fc3e0072aff99c8402ca8b3c19e55d3e39eea339689d8c7"),
+    "sigint-1": (14, "d3dfc8cd5ae156ac1cb3b757a7f97258dcdea158bd7154692776565bd2ccda6a"),
+}
+
+CLI_WALKS = {
+    "a": ["--n", "2", "--k", "1"],
+    "short": ["--n", "2", "--k", "1", "--max-depth", "1"],
+    "rec": ["--n", "1", "--k", "2", "--max-crashes", "2", "--max-recoveries", "2"],
+    "rec-r1": ["--n", "1", "--k", "2", "--max-crashes", "2", "--max-recoveries", "1"],
+    "crash": ["--n", "2", "--k", "1", "--max-crashes", "1"],
+}
+
+
+def read_configs(*paths):
+    configs = set()
+    for path in paths:
+        configs |= set(execset.read_execset(str(path)).records)
+    return configs
+
+
+class TestEquivalenceWithExecutionIdStreams:
+    """Each CI-pinned walk records the same configurations as the
+    execution-id stream it replaces."""
+
+    @pytest.mark.parametrize("name", sorted(CLI_WALKS))
+    def test_cli_walk(self, tmp_path, name):
+        from repro.__main__ import main
+
+        path = tmp_path / f"{name}.jsonl"
+        assert main(["explore", "--task", "set-consensus", *CLI_WALKS[name],
+                     "--no-ledger", "--execset-out", str(path)]) == 0
+        count, digest = EXECUTION_ID_STREAM_CONFIGS[name]
+        parsed = execset.read_execset(str(path))
+        assert len(read_configs(path)) == count
+        assert parsed.footer["digest"] == digest == parsed.own_digest
+
+    def test_budget_cut_and_resume(self, tmp_path):
+        from repro.__main__ import main
+
+        checkpoint = str(tmp_path / "ck.jsonl")
+        common = ["--ledger", str(tmp_path / "runs.jsonl")]
+        assert main(["explore", "--task", "set-consensus", *CLI_WALKS["rec"],
+                     "--max-steps", "3000", "--checkpoint", checkpoint,
+                     "--execset-out", str(tmp_path / "b1.jsonl"), *common]) == 3
+        assert main(["explore", "--resume", checkpoint,
+                     "--execset-out", str(tmp_path / "b2.jsonl"), *common]) == 0
+        first = read_configs(tmp_path / "b1.jsonl")
+        assert (len(first), execset.set_digest(first)) == \
+            EXECUTION_ID_STREAM_CONFIGS["budget-1"]
+        both = read_configs(tmp_path / "b1.jsonl", tmp_path / "b2.jsonl")
+        assert (len(both), execset.set_digest(both)) == EXECUTION_ID_STREAM_CONFIGS["rec"]
+        resumed = execset.read_execset(str(tmp_path / "b2.jsonl"))
+        assert resumed.base_configs == first
+        assert resumed.footer["merged_digest"] == EXECUTION_ID_STREAM_CONFIGS["rec"][1]
+        assert resumed.footer["total_executions"] == 6540
+
+    def test_sigint_and_resume(self, tmp_path):
+        """The CI smoke's SIGINT cut: a SIGINT raised at the 500th step."""
+        from repro.__main__ import main
+
+        checkpoint = str(tmp_path / "ck.jsonl")
+        common = ["--ledger", str(tmp_path / "runs.jsonl")]
+        fuse = {"steps": 0}
+
+        def tripwire(name, _fields):
+            if name == "step":
+                fuse["steps"] += 1
+                if fuse["steps"] == 500:
+                    signal.raise_signal(signal.SIGINT)
+
+        events.subscribe(tripwire)
+        try:
+            code = main(["explore", "--task", "set-consensus", *CLI_WALKS["a"],
+                         "--checkpoint", checkpoint,
+                         "--execset-out", str(tmp_path / "s1.jsonl"), *common])
+        finally:
+            events.unsubscribe(tripwire)
+        assert code == 3
+        assert main(["explore", "--resume", checkpoint,
+                     "--execset-out", str(tmp_path / "s2.jsonl"), *common]) == 0
+        first = read_configs(tmp_path / "s1.jsonl")
+        assert (len(first), execset.set_digest(first)) == \
+            EXECUTION_ID_STREAM_CONFIGS["sigint-1"]
+        both = read_configs(tmp_path / "s1.jsonl", tmp_path / "s2.jsonl")
+        assert (len(both), execset.set_digest(both)) == EXECUTION_ID_STREAM_CONFIGS["a"]
 
 
 class TestRecorderRoundtrip:
@@ -334,7 +400,7 @@ class TestRecorderRoundtrip:
             value_alphabet=INPUTS,
             **kwargs,
         )
-        explore_all(execset_recorder=recorder)
+        explore_all(execset_recorder=recorder, max_crashes=1)
         recorder.write()
         return recorder
 
@@ -344,13 +410,14 @@ class TestRecorderRoundtrip:
         assert parsed.spec == {"task": "consensus", "n": 2, "k": 1}
         assert parsed.own_digest == recorder.digest
         assert parsed.merged_digest == recorder.merged_digest
-        assert set(parsed.records) == set(recorder.lines)
+        assert set(parsed.records) == set(recorder.records)
+        assert parsed.executions == recorder.executions
         assert parsed.consistent
         assert not parsed.partial
         assert parsed.skipped == 0
 
-    def test_observe_dedupes(self, tmp_path):
-        recorder = execset.ExecutionSetRecorder(path=str(tmp_path / "d.jsonl"))
+    def test_observe_counts_each_execution_once_per_configuration(self):
+        recorder = execset.ExecutionSetRecorder()
         spec = tiny_spec()
         execution = explore_all()[0]
         system = spec.replay(execution.full_decisions)
@@ -358,6 +425,7 @@ class TestRecorderRoundtrip:
         recorder.observe(execution, system)
         recorder.observe(execution, system)
         assert recorder.total_records == 1
+        assert recorder.total_executions == 2
 
     def test_byte_stable(self, tmp_path):
         """Identical explorations write byte-identical artifacts — the
@@ -367,42 +435,46 @@ class TestRecorderRoundtrip:
         assert (tmp_path / "one.jsonl").read_bytes() == \
             (tmp_path / "two.jsonl").read_bytes()
 
-    def test_base_digest_folds_into_merged(self, tmp_path):
+    def test_resumed_session_unions_its_base(self, tmp_path):
+        executions = explore_all(max_crashes=1)
         full = self.write_stream(tmp_path, "full.jsonl")
-        # Pretend the first half came from a previous session.
-        ids = list(full.lines)
-        half_ids = ids[: len(ids) // 2]
-        base = execset.set_digest(half_ids)
-        resumed = execset.ExecutionSetRecorder(
-            path=str(tmp_path / "resumed.jsonl"),
-            base_digest=base,
-            base_records=len(half_ids),
-        )
+        half = len(executions) // 2
         spec = tiny_spec()
-        for record_id in ids[len(half_ids):]:
-            record = json.loads(full.lines[record_id])
-            decisions = [tuple(d) for d in record["decisions"]]
-            system = spec.replay(decisions)
-            resumed.observe(system.finalize(), system)
+        first = execset.ExecutionSetRecorder(value_alphabet=INPUTS)
+        for execution in executions[:half]:
+            system = spec.replay(execution.full_decisions)
+            first.observe(system.finalize(execution.full_decisions), system)
+        resumed = execset.ExecutionSetRecorder(
+            path=str(tmp_path / "resumed.jsonl"), value_alphabet=INPUTS,
+            base=first.checkpoint_state(),
+        )
+        for execution in executions[half:]:
+            system = spec.replay(execution.full_decisions)
+            resumed.observe(system.finalize(execution.full_decisions), system)
         assert resumed.merged_digest == full.digest
+        assert resumed.total_executions == len(executions)
         parsed = execset.read_execset(str(resumed.write()))
         assert parsed.partial
         assert parsed.merged_digest == full.digest
-        assert parsed.base_records == len(half_ids)
+        assert parsed.base_records == len(first.records)
+        assert parsed.footer["merged_digest"] == full.digest
+        assert_matches_reference(
+            tmp_path, resumed, executions[half:], spec, INPUTS
+        )
 
     def test_checkpoint_state_and_ledger_summary(self, tmp_path):
         recorder = self.write_stream(tmp_path)
-        state = recorder.checkpoint_state()
-        assert state == {
-            "digest": recorder.merged_digest,
-            "records": recorder.total_records,
+        assert recorder.checkpoint_state() == {
+            "configs": sorted(recorder.records),
+            "executions": recorder.total_executions,
         }
         summary = recorder.ledger_summary()
         assert summary["digest"] == recorder.merged_digest
         assert summary["records"] == recorder.total_records
+        assert summary["executions"] == recorder.total_executions
         assert summary["path"].endswith("a.jsonl")
 
-    def test_mid_walk_checkpoint_carries_digest_so_far(self, tmp_path):
+    def test_mid_walk_checkpoint_carries_the_set_so_far(self, tmp_path):
         from repro.faults.checkpoint import read_checkpoint
 
         recorder = execset.ExecutionSetRecorder(value_alphabet=INPUTS)
@@ -419,7 +491,7 @@ class TestRecorderRoundtrip:
         assert not checkpoint.done
         assert checkpoint.executions == 2
         assert checkpoint.execset == {
-            "digest": recorder.merged_digest, "records": 2,
+            "configs": sorted(recorder.records), "executions": 2,
         }
 
     def test_write_annotates_active_run(self, tmp_path):
@@ -429,6 +501,7 @@ class TestRecorderRoundtrip:
         self.write_stream(tmp_path)
         record = ledger.finish_run(0)
         assert record["execset"]["records"] > 0
+        assert record["execset"]["executions"] > record["execset"]["records"]
         assert len(record["execset"]["digest"]) == 64
 
 
@@ -438,12 +511,13 @@ class TestTolerantReads:
         path.write_text(
             json.dumps({"format": execset.FORMAT, "spec": {}}) + "\n"
             "{broken\n"
-            + json.dumps({"id": "aa", "depth": 1, "decisions": [[0, 0]]})
+            + json.dumps({"config": "aa", "depth": 1, "decisions": [[0, 0]]})
+            + "\n" + json.dumps({"id": "no-config"})
             + "\n[1, 2]\n"
         )
         parsed = execset.read_execset(str(path))
         assert set(parsed.records) == {"aa"}
-        assert parsed.skipped == 2
+        assert parsed.skipped == 3
         assert not parsed.footer
         # No footer to check against: vacuously consistent (a truncated
         # write is reported through ``footer``/``skipped``, not here).
@@ -453,7 +527,7 @@ class TestTolerantReads:
         path = tmp_path / "bad.jsonl"
         path.write_text(
             json.dumps({"format": execset.FORMAT, "spec": {}}) + "\n"
-            + json.dumps({"id": "aa", "depth": 1, "decisions": [[0, 0]]})
+            + json.dumps({"config": "aa", "depth": 1, "decisions": [[0, 0]]})
             + "\n"
             + json.dumps(
                 {"format": execset.FORMAT, "footer": True, "records": 1,
@@ -461,7 +535,9 @@ class TestTolerantReads:
             )
             + "\n"
         )
-        assert not execset.read_execset(str(path)).consistent
+        parsed = execset.read_execset(str(path))
+        assert not parsed.consistent
+        assert parsed.merged_digest == execset.set_digest(["aa"])
 
     def test_peek_footer_missing_file(self, tmp_path):
         assert execset.peek_footer(str(tmp_path / "absent.jsonl")) is None
@@ -478,27 +554,3 @@ class TestTolerantReads:
         assert footer["footer"] is True
         assert footer["records"] == 1
         assert footer["merged_digest"] == recorder.merged_digest
-
-    def test_merge_records_union_with_overlap(self, tmp_path):
-        executions = explore_all()
-        third = max(1, len(executions) // 3)
-        spec = tiny_spec()
-
-        def shard(name, chunk):
-            recorder = execset.ExecutionSetRecorder(
-                path=str(tmp_path / name)
-            )
-            for execution in chunk:
-                system = spec.replay(execution.full_decisions)
-                system.finalize()
-                recorder.observe(execution, system)
-            recorder.write()
-            return execset.read_execset(str(tmp_path / name))
-
-        # Overlapping shards: the middle third appears in both.
-        a = shard("a.jsonl", executions[: 2 * third])
-        b = shard("b.jsonl", executions[third:])
-        records, digest = execset.merge_records([a, b])
-        all_ids = {execset.execution_id(e) for e in executions}
-        assert set(records) == all_ids
-        assert digest == execset.set_digest(all_ids)

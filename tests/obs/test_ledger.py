@@ -111,13 +111,50 @@ class TestCliRecording:
         ) == 0
         assert not path.exists()
 
-    def test_crashing_command_records_error(self, tmp_path, capsys):
+    def test_crashing_command_records_error(self, tmp_path, capsys, monkeypatch):
+        import repro.__main__ as cli
+
+        def broken(*_args):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli, "FamilyMember", broken)
         path = tmp_path / "runs.jsonl"
         with pytest.raises(ValueError):
-            main(["check", "2", "0", "--ledger", str(path)])
+            main(["check", "2", "1", "--ledger", str(path)])
         records, _ = ledger.read_ledger(str(path))
         assert records[0]["verdict"] == "error"
         assert records[0]["exit_code"] == 2
+
+    @pytest.mark.parametrize(
+        "argv", [["check", "2", "0"], ["describe", "2", "0"], ["curves", "0"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_bad_positional_value_is_a_usage_error(self, argv, tmp_path, capsys):
+        """O(n, k) needs n, k >= 1: a bad value is an argparse usage
+        error (exit 2) that leaves no ledger record, not a traceback."""
+        path = tmp_path / "runs.jsonl"
+        flags = ["--ledger", str(path)] if argv[0] == "check" else []
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + flags)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "must be >= 1, got 0" in err
+        assert not path.exists()
+
+    def test_bad_positional_value_exits_2_from_the_shell(self, tmp_path):
+        import subprocess
+        import sys
+
+        path = tmp_path / "runs.jsonl"
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "check", "2", "0",
+             "--ledger", str(path)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert "must be >= 1, got 0" in done.stderr
+        assert not path.exists()
 
     @pytest.mark.parametrize("flag", RUN_FLAGS, ids=lambda f: f[0])
     @pytest.mark.parametrize(

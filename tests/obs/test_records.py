@@ -32,7 +32,7 @@ def _execset(path):
 #: can grow new record kinds.
 READERS = {
     "events": (_events, lambda n: {"event": "step", "pid": n}, False),
-    "execset": (_execset, lambda n: {"id": f"id{n}", "depth": n}, True),
+    "execset": (_execset, lambda n: {"config": f"c{n}", "depth": n}, True),
     "ledger": (
         ledger.read_ledger,
         lambda n: {"format": ledger.FORMAT, "run_id": f"r{n}"},

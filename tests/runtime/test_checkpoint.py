@@ -290,7 +290,7 @@ class TestLegacyFaultOrder:
                "--no-ledger"]
 
     def interrupt(self, tmp_path, crashes, recoveries):
-        """An interrupted CLI walk: (checkpoint path, its execset ids)."""
+        """An interrupted CLI walk: (checkpoint path, its execset file)."""
         from repro.__main__ import main
         from repro.obs.execset import read_execset
 
@@ -303,7 +303,7 @@ class TestLegacyFaultOrder:
         ])
         assert code == 3
         assert not read_checkpoint(str(checkpoint)).done
-        return checkpoint, set(read_execset(stream).records)
+        return checkpoint, read_execset(stream)
 
     def test_format_is_version_3(self):
         assert FORMAT == "repro-checkpoint/3"
@@ -359,8 +359,9 @@ class TestLegacyFaultOrder:
         assert main(self.EXPLORE + [
             "--max-crashes", "2", "--execset-out", str(tmp_path / "fresh.jsonl"),
         ]) == 0
-        after = set(read_execset(str(tmp_path / "b.jsonl")).records)
-        fresh = set(read_execset(str(tmp_path / "fresh.jsonl")).records)
-        assert before and after
-        assert not before & after
-        assert before | after == fresh
+        after = read_execset(str(tmp_path / "b.jsonl"))
+        fresh = read_execset(str(tmp_path / "fresh.jsonl"))
+        assert before.records and after.records
+        assert before.executions + after.executions == fresh.executions
+        assert set(before.records) | set(after.records) == set(fresh.records)
+        assert after.merged_digest == fresh.own_digest

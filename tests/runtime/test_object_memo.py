@@ -105,10 +105,16 @@ CASES = {
 }
 
 
-#: Exact counters of the benchmark instances: executions (= forks) and
-#: object applies, which there equal the distinct (state text, operation
-#: value) pairs.
-PINNED = {"O(1,2) f=2 r=2": (6540, 52), "O(2,1) f=1": (5040, 962)}
+#: Exact counters: executions (= forks) and object applies, which equal
+#: the distinct (state text, operation value) pairs.  Before operations
+#: were interned, equal operations yielded at different program nodes
+#: missed each other's entries: E9 applied 23 times and the bag 10.
+PINNED = {
+    "O(1,2) f=2 r=2": (6540, 52),
+    "O(2,1) f=1": (5040, 962),
+    "E9 snapshot": (1995, 5),
+    "insertion-ordered frozensets": (6, 8),
+}
 
 
 class ReplayCheck:
@@ -152,11 +158,10 @@ def test_walk_configurations_equal_unforked_replay(name):
     count = sum(1 for _ in explorer.executions())
     stats = explorer.stats
     assert count == check.executions == stats.executions > 0
-    # Each distinct (state, operation object) met is applied exactly
-    # once.  Equal operations yielded at different program nodes are
-    # distinct objects, so this can exceed the distinct values.
-    assert stats.object_applies == len(check.sites)
-    assert len(check.transitions) <= stats.object_applies
+    # Each distinct (state, operation) met is applied exactly once:
+    # equal operations yielded at different program nodes are one
+    # interned object.
+    assert stats.object_applies == len(check.sites) == len(check.transitions)
     # A fresh walk forks once per execution and replays nothing.
     assert stats.systems_forked == stats.executions
     assert stats.steps_replayed == 0
@@ -271,3 +276,61 @@ class TestCopyOnWrite:
             replayed = spec.replay(execution.full_decisions).finalize()
             assert replayed.steps == execution.steps
             assert replayed.statuses == execution.statuses
+
+
+class Writer(ObjectSpec):
+    """A register whose ``read`` returns the written value's type name:
+    ``write(1)`` and ``write(True)`` are equal operations with
+    different outcomes."""
+
+    deterministic = True
+
+    def initial_state(self):
+        return None
+
+    def op_write(self, state, value):
+        return [(None, value)]
+
+    def op_read(self, state):
+        return [(type(state).__name__, state)]
+
+
+def test_equal_operations_of_different_types_never_share_an_entry():
+    from repro.runtime.ops import Operation
+    from repro.runtime.process import ProgramMemo
+
+    memo = ProgramMemo({})
+    one = memo.intern(Operation("r", "write", (1,)))
+    true = memo.intern(Operation("r", "write", (True,)))
+    assert one == true and one is not true
+    assert memo.intern(Operation("r", "write", (1,))) is one
+    assert memo.intern(Operation("r", "write", ((1,),))) is not \
+        memo.intern(Operation("r", "write", ((True,),)))
+
+    def program(value):
+        def run():
+            yield invoke("r", "write", value)
+            kind = yield invoke("r", "read")
+            return kind
+
+        return run
+
+    spec = SystemSpec({"r": Writer()}, [program(1), program(True)])
+    check = ReplayCheck(spec)
+    memos = set()
+
+    class MemoProbe:
+        def observe(self, _execution, system):
+            memos.add(system.memo)
+
+    explorer = Explorer(spec, observers=[check, MemoProbe()])
+    outputs = {tuple(sorted(e.outputs.items())) for e in explorer.executions()}
+    assert ((0, "bool"), (1, "bool")) in outputs
+    assert ((0, "int"), (1, "int")) in outputs
+    (memo,) = memos
+    writes = [
+        operation.args for state, operation, _outcomes in memo.transitions.values()
+        if state is None and operation.method == "write"
+    ]
+    assert sorted(map(repr, writes)) == ["(1,)", "(True,)"]
+    assert explorer.stats.object_applies == len(check.sites)
