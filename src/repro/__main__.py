@@ -354,16 +354,15 @@ def cmd_explore(args) -> int:
         # A span of its own (under the root "command" span) so the
         # `stats` phase timings separate exploration from CLI setup.
         with span("explore", task=task, n=n, k=k):
-            for _execution in explorer.executions():
-                pass
+            stats = explorer.run()
     finally:
         signal.signal(signal.SIGINT, previous_handler)
-    stats = explorer.stats
     run_ledger.annotate(
         executions=explorer.total_executions,
         steps=stats.steps_total,
         generator_resumes=stats.generator_resumes,
         memo_hits=stats.memo_hits,
+        cache_hits=stats.cache_hits,
         systems_forked=stats.systems_forked,
         object_applies=stats.object_applies,
         faults_injected=stats.faults_injected,
@@ -388,7 +387,8 @@ def cmd_explore(args) -> int:
         f"{explorer.total_executions} executions "
         f"({stats.executions} this run), max depth {stats.max_depth_seen}, "
         f"{stats.steps_on_path} on-path + {stats.steps_replayed} replayed "
-        f"steps ({stats.systems_forked} systems forked, "
+        f"steps ({stats.cache_hits} cache hits, "
+        f"{stats.systems_forked} systems forked, "
         f"{stats.object_applies} object applies, "
         f"{stats.generator_resumes} generator resumes, "
         f"{stats.memo_hits} memo hits), {stats.faults_injected} faults injected, "
@@ -682,7 +682,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         metavar="N",
         default=None,
-        help="total simulator-step budget for the whole command",
+        help="budget of simulator steps the whole command executes "
+        "(a subtree that explore's state cache credits costs none)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

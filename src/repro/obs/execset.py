@@ -131,17 +131,20 @@ class ExecutionSetRecorder:
 
     Attach to an :class:`~repro.runtime.explorer.Explorer` as one of its
     ``observers``: :meth:`observe` is called once per maximal execution
-    with the live system still at its final configuration, and
-    :meth:`checkpoint_state` rides in the explorer's checkpoints.
-    Purely observational: the walk order and every verdict are
-    identical with and without it.
+    walked, with the live system still at its final configuration,
+    :meth:`credit` once per final configuration of a subtree a
+    state-cached walk (:meth:`~repro.runtime.explorer.Explorer.run`)
+    credits instead of walking, and :meth:`checkpoint_state` rides in
+    the explorer's checkpoints.  Purely observational: the walk order
+    and every verdict are identical with and without it.
 
     Many executions funnel into few final configurations (6,540
     crash-recovery executions of O(1,2) end in 300), so per execution
     :meth:`observe` does one ``System.identity()`` lookup and one counter
-    increment.  The snapshot, fingerprints, verdict fields and exhibit id
-    are built once per new identity, and :meth:`write` serializes one
-    record per configuration.
+    increment, and :meth:`credit` one of each per credited configuration.
+    The snapshot, fingerprints, verdict fields and exhibit id are built
+    once per new identity, and :meth:`write` serializes one record per
+    configuration.
 
     ``base`` is a checkpoint header's ``execset`` entry (``{"configs":
     [...], "executions": N}``): a resumed run unions its records with
@@ -177,6 +180,11 @@ class ExecutionSetRecorder:
         if record is None:
             record = self._by_identity[key] = self._reach(execution, system)
         record["executions"] += 1
+
+    def credit(self, identity: Any, n: int) -> None:
+        """Count ``n`` more executions ending in the configuration named
+        ``identity``, which an earlier :meth:`observe` recorded."""
+        self._by_identity[identity]["executions"] += n
 
     def _reach(self, execution: Any, system: Any) -> Dict[str, Any]:
         """The record of ``system``'s configuration, created with

@@ -13,6 +13,8 @@ every tree edge executes exactly one step and a walk builds one system.
 The last child of a node takes the parent's system over instead of
 forking it, and forks share process records copy-on-write, so a fresh
 walk forks once per execution and copies only the records it writes.
+:meth:`Explorer.run`, the walk ``repro explore`` takes, adds a state
+cache: a subtree it has already finished is credited, not walked again.
 Python generators cannot be copied, so forking rests on a purity
 assumption: programs are generators whose control state depends only on
 the responses they have received — no RNG, no state shared across
@@ -88,9 +90,16 @@ class ExplorationStatistics:
     program code and ``memo_hits`` those served by the walk's program
     memo (see :class:`~repro.runtime.process.ProgramMemo`).
     ``systems_forked`` counts :meth:`~repro.runtime.system.System.fork`
-    calls on the walk's systems (a fresh walk forks once per execution)
-    and ``object_applies`` the object ``apply`` calls, one per distinct
-    (state, operation) the walk met; both are read from the same memo.
+    calls on the walk's systems (a fresh unreduced walk forks once per
+    execution) and ``object_applies`` the object ``apply`` calls, one per
+    distinct (state, operation) the walk met; both are read from the same
+    memo.
+
+    Under :meth:`Explorer.run`'s state cache, ``cache_hits`` counts the
+    nodes whose subtree was credited from the cache instead of walked.
+    ``executions``, ``max_depth_seen`` and ``truncated`` still describe
+    the whole tree, credited subtrees included, while the step, fault,
+    fork and memo counters count only the work actually done.
     """
 
     executions: int = 0
@@ -104,11 +113,68 @@ class ExplorationStatistics:
     memo_hits: int = 0
     systems_forked: int = 0
     object_applies: int = 0
+    cache_hits: int = 0
 
     @property
     def steps_total(self) -> int:
         """Every simulator step executed (replayed + on-path)."""
         return self.steps_replayed + self.steps_on_path
+
+
+class _Subtree:
+    """A node of a state-cached walk (see :meth:`Explorer.run`) whose
+    children have not all finished: the cache entry it is building.
+
+    An entry is one flat tuple ``(executions, height, leaf, n, leaf, n,
+    ...)``: the maximal executions in the node's subtree, the subtree's
+    height, and the identity of each final configuration in it with the
+    number of those executions that end there.  ``leaves`` becomes
+    ``None`` when a child's subtree hit ``max_depth``; such a node is
+    never stored.
+    """
+
+    __slots__ = ("key", "parent", "pending", "executions", "height", "leaves")
+
+    def __init__(self, key: Any, parent: Optional["_Subtree"], pending: int):
+        self.key = key
+        self.parent = parent
+        self.pending = pending
+        self.executions = 0
+        self.height = 0
+        self.leaves: Optional[dict] = {}
+
+    def entry(self) -> Optional[tuple]:
+        if self.leaves is None:
+            return None
+        flat: list = [self.executions, self.height]
+        for item in self.leaves.items():
+            flat.extend(item)
+        return tuple(flat)
+
+
+def _finish(
+    cache: dict, key: Any, parent: Optional[_Subtree], entry: Optional[tuple]
+) -> None:
+    """A node finished with ``entry`` (``None``: it hit ``max_depth``):
+    cache it under ``key`` and add it to ``parent``, which finishes in
+    turn when this was its last pending child."""
+    while True:
+        if entry is not None:
+            cache[key] = entry
+        if parent is None:
+            return
+        leaves = parent.leaves
+        if entry is None:
+            parent.leaves = None
+        elif leaves is not None:
+            parent.executions += entry[0]
+            parent.height = max(parent.height, entry[1] + 1)
+            for leaf, n in zip(entry[2::2], entry[3::2]):
+                leaves[leaf] = leaves.get(leaf, 0) + n
+        parent.pending -= 1
+        if parent.pending:
+            return
+        key, entry, parent = parent.key, parent.entry(), parent.parent
 
 
 class Explorer:
@@ -171,11 +237,14 @@ class Explorer:
         :class:`~repro.obs.execset.ExecutionSetRecorder`), each with any of
         ``observe_configuration(system, depth, children)`` (every node;
         ``children`` is how many child prefixes it pushes, 0 at a leaf),
-        ``observe(execution, system)`` (every maximal execution, before the
-        checkpoint write) and ``checkpoint_state()`` (entries of the
-        checkpoint header's ``execset`` set so far).  Purely
-        observational: walk order, executions and verdicts are identical
-        without them.  The ``system`` passed to a hook is valid only
+        ``observe(execution, system)`` (every maximal execution walked,
+        before the checkpoint write), ``credit(identity, n)`` (``n`` more
+        executions ending in the configuration named ``identity``, which
+        an earlier ``observe`` saw; see :meth:`run`) and
+        ``checkpoint_state()`` (entries of the checkpoint header's
+        ``execset`` set so far).  Purely observational: walk order,
+        executions and verdicts are identical without them.  The
+        ``system`` passed to a hook is valid only
         during the call: the walk goes on to mutate it (a node's last
         child takes its system over), so a hook must copy out what it
         keeps, or :meth:`~repro.runtime.system.System.fork` it.  A walk
@@ -271,10 +340,41 @@ class Explorer:
         part of the enumerated space — ``max_recoveries=r`` strictly
         subsumes ``max_recoveries=0``.
         """
+        yield from self._walk_frontier(self._start())
+
+    def run(self) -> ExplorationStatistics:
+        """Walk the whole tree for the observers' sake; return :attr:`stats`.
+
+        Unlike :meth:`executions`, the walk keeps a state cache: a node
+        whose key, :meth:`~repro.runtime.system.System.identity` plus the
+        fault-order context :meth:`_branches` reads, names a subtree the
+        walk already finished is credited instead of walked.  Its
+        executions and height go to :attr:`stats`, and each final
+        configuration under it goes to every observer's
+        ``credit(identity, n)``.  Only a finished node is cached, so a
+        node on the DFS path is never a hit; a subtree that hit
+        ``max_depth`` is never stored, and an entry is reused only where
+        it fits under the bound.  The DFS still reaches every
+        configuration first along the same path, and the frontier is
+        still the exact remaining work (a resumed run starts with an
+        empty cache).
+
+        The cache applies only without a ``pid_filter`` and when every
+        observer implements ``credit``.  Otherwise, e.g. under a
+        :class:`~repro.obs.coverage.Heartbeat` or an auditor, which need
+        every execution or every node, ``run()`` walks every execution
+        as :meth:`executions` does.
+        """
+        for _execution in self._walk_frontier(self._start(), cached=True):
+            pass
+        return self.stats
+
+    def _start(self) -> List[List[Decision]]:
+        """The frontier a walk starts from: the resumed checkpoint's, or
+        the root."""
         if self._initial_frontier is not None:
-            yield from self._walk_frontier(self._initial_frontier)
-        else:
-            yield from self._walk([])
+            return self._initial_frontier
+        return [[]]
 
     def check(self, predicate: Callable[[Execution], bool]) -> Optional[Execution]:
         """Verify ``predicate`` on every maximal execution.
@@ -466,18 +566,7 @@ class Explorer:
         # recovery).  The walk prefix is thus full_decisions by
         # construction.  A crashed pid is not enabled, so crash-only
         # walks keep strictly increasing crash pids.
-        last_crash = last_recovery = revived = -1
-        for pid, choice in reversed(prefix):
-            if choice == CRASH_CHOICE:
-                if last_crash < 0:
-                    last_crash = pid
-            elif choice == RECOVER_CHOICE:
-                if last_recovery < 0:
-                    last_recovery = pid
-                    if last_crash < 0:
-                        revived = pid
-            else:
-                break
+        last_crash, last_recovery, revived = self._fault_context(prefix)
         # Every fault decision on the prefix left one record (only enabled
         # pids are crashed, only crashed ones recovered), so the trace
         # counts them.
@@ -504,11 +593,30 @@ class Explorer:
                 branches.append(((process.pid, RECOVER_CHOICE), None))
         return branches
 
+    @staticmethod
+    def _fault_context(prefix: List[Decision]) -> Tuple[int, int, int]:
+        """``(last crash pid, last recovery pid, pid revived by the last
+        decision)`` of the run of fault decisions ending ``prefix``, each
+        -1 when absent: all that :meth:`_branches` reads of the prefix."""
+        last_crash = last_recovery = revived = -1
+        for pid, choice in reversed(prefix):
+            if choice == CRASH_CHOICE:
+                if last_crash < 0:
+                    last_crash = pid
+            elif choice == RECOVER_CHOICE:
+                if last_recovery < 0:
+                    last_recovery = pid
+                    if last_crash < 0:
+                        revived = pid
+            else:
+                break
+        return last_crash, last_recovery, revived
+
     def _walk(self, prefix: Sequence[Decision]) -> Iterator[Execution]:
         yield from self._walk_frontier([list(prefix)])
 
     def _walk_frontier(
-        self, frontier: List[List[Decision]]
+        self, frontier: List[List[Decision]], cached: bool = False
     ) -> Iterator[Execution]:
         """DFS over pending decision prefixes (the resumable core).
 
@@ -516,8 +624,9 @@ class Explorer:
         live stack so :meth:`write_checkpoint`, called between yields or
         between nodes, captures exactly the remaining work.
         Beside it, ``parents`` holds each entry's parent configuration,
-        the outcomes its step selects among, and whether the entry takes
-        the parent over: a child is its parent's
+        the outcomes its step selects among, whether the entry takes
+        the parent over, and the parent's :class:`_Subtree` (state-cached
+        walks only, see :meth:`run`): a child is its parent's
         :meth:`~repro.runtime.system.System.fork` plus one decision, except
         the parent's last child popped, which applies its decision to the
         parent itself (unless the parent was also yielded as an execution,
@@ -526,7 +635,7 @@ class Explorer:
         single built root and re-apply their prefix.
         """
         stack = self._stack = [list(p) for p in frontier]
-        parents: List[Optional[Tuple[System, Optional[list], bool]]]
+        parents: List[Optional[Tuple[System, Optional[list], bool, Optional[_Subtree]]]]
         parents = [None] * len(stack)
         root = self.spec.build() if stack else None
         stats = self.stats
@@ -556,7 +665,24 @@ class Explorer:
             o.observe_configuration for o in observers if hasattr(o, "observe_configuration")
         ]
         on_execution = [o.observe for o in observers if hasattr(o, "observe")]
-        since_checkpoint = 0
+        cache: Optional[dict] = None
+        if cached and self.pid_filter is None:
+            on_credit = [getattr(o, "credit", None) for o in observers]
+            if None not in on_credit:
+                cache = {}
+        faults = bool(self.max_crashes or self.max_recoveries)
+        checkpointed = stats.executions
+
+        def checkpoint_if_due() -> None:
+            nonlocal checkpointed
+            if (
+                self.checkpoint_path is not None
+                and stats.executions - checkpointed >= self.checkpoint_every
+            ):
+                count_memo()
+                self.write_checkpoint()
+                checkpointed = stats.executions
+
         while stack:
             observed = _obs_events.is_enabled()
             reason = self._stop_reason
@@ -568,8 +694,9 @@ class Explorer:
                 return
             prefix = stack.pop()
             parent = parents.pop()
+            subtree = None
             if parent is not None:
-                system, outcomes, takes_over = parent
+                system, outcomes, takes_over, subtree = parent
                 if not takes_over:
                     system = system.fork()
                 self._apply(system, prefix[-1], outcomes)
@@ -577,6 +704,20 @@ class Explorer:
                 system = self._resume(root, prefix)
             depth = len(prefix)
             stats.max_depth_seen = max(stats.max_depth_seen, depth)
+            if cache is not None:
+                identity = system.identity()
+                key = (identity + self._fault_context(prefix)) if faults else identity
+                entry = cache.get(key)
+                if entry is not None and depth + entry[1] <= self.max_depth:
+                    stats.cache_hits += 1
+                    stats.executions += entry[0]
+                    stats.max_depth_seen = max(stats.max_depth_seen, depth + entry[1])
+                    for leaf, n in zip(entry[2::2], entry[3::2]):
+                        for credit in on_credit:
+                            credit(leaf, n)
+                    _finish(cache, key, subtree, entry)
+                    checkpoint_if_due()
+                    continue
             branches = self._branches(system, prefix)
             children = branches if depth < self.max_depth else []
             for hook in on_node:
@@ -591,9 +732,15 @@ class Explorer:
                 # addition to its recovery children, which all fork it.
                 maximal = all(choice == RECOVER_CHOICE for (_pid, choice), _ in branches)
                 takes_over = not maximal  # the first pushed is popped last
+                node = None
+                if cache is not None:
+                    node = _Subtree(key, subtree, len(children))
+                    if maximal:
+                        node.executions = 1
+                        node.leaves[identity] = 1
                 for decision, outcomes in reversed(children):
                     stack.append(prefix + [decision])
-                    parents.append((system, outcomes, takes_over))
+                    parents.append((system, outcomes, takes_over, node))
                     takes_over = False
                 if not maximal:
                     continue
@@ -608,12 +755,15 @@ class Explorer:
                         f"execution exceeded max_depth={self.max_depth}; "
                         "raise the bound or check for non-termination"
                     )
+                if cache is not None:
+                    _finish(cache, key, subtree, None)
             else:
                 if observed:
                     _obs_events.emit("schedule_explored", depth=depth)
+                if cache is not None:
+                    _finish(cache, key, subtree, (1, 0, identity, 1))
             stats.executions += 1
             count_memo()
-            since_checkpoint += 1
             execution = system.finalize(prefix)
             # Must precede the checkpoint write below: a checkpoint that
             # counts this execution must also carry it in its execset
@@ -622,12 +772,7 @@ class Explorer:
             # already off the frontier).
             for hook in on_execution:
                 hook(execution, system)
-            if (
-                self.checkpoint_path is not None
-                and since_checkpoint >= self.checkpoint_every
-            ):
-                self.write_checkpoint()
-                since_checkpoint = 0
+            checkpoint_if_due()
             yield execution
         if root is not None:
             count_memo()

@@ -325,7 +325,7 @@ class Process:
         every process of a system and its copies.
     """
 
-    __slots__ = ("pid", "memo", "status", "output", "steps_taken", "node")
+    __slots__ = ("pid", "memo", "status", "output", "steps_taken", "recoveries", "node")
 
     def __init__(self, pid: int, factory: ProgramFactory, memo: Optional[ProgramMemo] = None):
         self.pid = pid
@@ -333,6 +333,8 @@ class Process:
         self.status = ProcessStatus.PENDING
         self.output: Any = None
         self.steps_taken = 0
+        #: Amnesiac recoveries so far (see :meth:`recover`).
+        self.recoveries = 0
         #: The program's control state (``None`` until primed).
         self.node: Optional[ProgramNode] = None
 
@@ -347,6 +349,7 @@ class Process:
         clone.status = self.status
         clone.output = self.output
         clone.steps_taken = self.steps_taken
+        clone.recoveries = self.recoveries
         clone.node = self.node
         return clone
 
@@ -418,6 +421,7 @@ class Process:
         self.status = ProcessStatus.PENDING
         self.output = None
         self.node = None
+        self.recoveries += 1
 
     def block(self) -> None:
         """Park the process forever (object-misuse 'hang' semantics)."""

@@ -108,6 +108,9 @@ class System:
         #: Bitmask of the pids whose process record this system alone
         #: holds (all of them until the first fork; see :meth:`fork`).
         self._owned = -1
+        #: :meth:`identity` of the current configuration, once computed;
+        #: every transition resets it.
+        self._identity = None
         for process in self.processes:
             self._prime_and_drain(process)
 
@@ -139,6 +142,7 @@ class System:
         clone.processes = self.processes.copy()
         clone._owned = self._owned = 0
         clone._enabled = self._enabled.copy()
+        clone._identity = self._identity
         trace = self.trace
         clone.trace = Execution(
             trace.steps.copy(),
@@ -244,9 +248,6 @@ class System:
         for step in self.trace.steps:
             if step.index >= last_recovery.get(step.pid, 0):
                 responses[step.pid].append(repr(step.response))
-        recovery_counts: Dict[int, int] = {}
-        for _at, pid in self.trace.recoveries:
-            recovery_counts[pid] = recovery_counts.get(pid, 0) + 1
         return {
             "objects": {
                 name: repr(state)
@@ -264,8 +265,8 @@ class System:
                     # Key present only on recovered processes, so
                     # crash-stop configurations keep their exact shape.
                     **(
-                        {"recoveries": recovery_counts[process.pid]}
-                        if process.pid in recovery_counts
+                        {"recoveries": process.recoveries}
+                        if process.recoveries
                         else {}
                     ),
                 }
@@ -273,36 +274,39 @@ class System:
             ],
         }
 
-    def identity(self) -> Tuple[Tuple[str, ...], Tuple[Tuple[Any, ...], ...]]:
+    def identity(self) -> Tuple[Any, ...]:
         """Hashable name of the current configuration, in O(objects +
-        processes).  Contract: equal identities imply equal
+        processes), computed once per configuration: the system keeps it
+        until its next transition, so every caller at one configuration
+        shares one tuple.  Contract: equal identities imply equal
         :meth:`configuration` snapshots.
 
-        Object states enter as the ``repr`` text the snapshot records, so
-        none need be hashable; a canonical state (see :meth:`fork`) brings
-        the text the memo stored for it, so forks in equal object states
-        share one text object and no ``repr`` runs.  A process enters as
-        ``(status, program node, recovery count)``: its trie node is
+        The tuple is flat, one text per object and then three fields per
+        process, so a cache holding many identities pays for one tuple
+        each.  Object states enter as the ``repr`` text the snapshot
+        records, so none need be hashable; a canonical state (see
+        :meth:`fork`) brings the text the memo stored for it, so forks in
+        equal object states share one text object and no ``repr`` runs.
+        A process enters as ``status, program node, recovery count``
+        (the count kept on its record): its trie node is
         reached by exactly the responses delivered since its last
-        recovery, and fixes the pending operation.  Nodes belong to one program memo, so only a system and
-        its forks share identities; equal configurations may still differ
-        in identity (nodes made before the memo records transitions), so a
-        cache keyed on identities can miss but never aliases.
+        recovery, and fixes the pending operation.  Nodes belong to one
+        program memo, so only a system and its forks share identities;
+        equal configurations may still differ in identity (nodes made
+        before the memo records transitions), so a cache keyed on
+        identities can miss but never aliases.
         """
-        recoveries = [0] * len(self.processes)
-        for _at, pid in self.trace.recoveries:
-            recoveries[pid] += 1
-        texts = self.memo.texts
-        return (
-            tuple(
+        identity = self._identity
+        if identity is None:
+            texts = self.memo.texts
+            parts = [
                 texts.get(id(state)) or repr(state)
                 for state in self.object_states.values()
-            ),
-            tuple(
-                (process.status, process.node, recoveries[process.pid])
-                for process in self.processes
-            ),
-        )
+            ]
+            for process in self.processes:
+                parts += (process.status, process.node, process.recoveries)
+            identity = self._identity = tuple(parts)
+        return identity
 
     # ------------------------------------------------------------------
     # Transitions
@@ -340,6 +344,7 @@ class System:
         operation = process.node.operation
         if outcomes is None:
             outcomes = self.outcomes_for(pid)
+        self._identity = None
         if not self._owned >> pid & 1:
             process = self._own(pid)
         if not outcomes:
@@ -405,6 +410,7 @@ class System:
         process = self.processes[pid]
         if not process.is_live:
             return
+        self._identity = None
         if not self._owned >> pid & 1:
             process = self._own(pid)
         process.crash()
@@ -423,6 +429,7 @@ class System:
         process = self.processes[pid]
         if process.status is not ProcessStatus.CRASHED:
             return
+        self._identity = None
         if not self._owned >> pid & 1:
             process = self._own(pid)
         process.recover()

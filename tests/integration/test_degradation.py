@@ -94,7 +94,7 @@ class TestExploreCheckpointResume:
         code = main(
             [
                 "explore", "--task", "set-consensus", "--n", "2", "--k", "1",
-                "--checkpoint", path, "--max-steps", "1000",
+                "--checkpoint", path, "--max-steps", "400",
             ]
         )
         out = capsys.readouterr().out

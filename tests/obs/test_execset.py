@@ -294,6 +294,58 @@ class TestRecorderCost:
         assert footer["digest"] == golden["configs_digest"]
 
 
+class TestCachedRecorderCost:
+    """Exact-count gate for the state-cached walk (``Explorer.run``):
+    :meth:`observe` runs once per leaf the walk visits, fingerprints once
+    per distinct final configuration, and a revisited subtree is credited
+    instead of forked and stepped again."""
+
+    @pytest.mark.parametrize(
+        "workload, n, k, faults, executions, counts",
+        [
+            # (observe calls, steps_on_path, systems_forked, cache_hits)
+            ("explore-recovery", 1, 2, (2, 2), 6540, (416, 2552, 2208, 1792)),
+            ("serve-worker", 2, 1, (1, 0), 5040, (336, 3864, 2734, 2398)),
+        ],
+    )
+    def test_walk_call_counts(self, monkeypatch, workload, n, k, faults,
+                              executions, counts):
+        calls = {"observe": 0, "config_fingerprints": 0}
+        real_observe = execset.ExecutionSetRecorder.observe
+        real_fingerprints = execset.config_fingerprints
+
+        def observe(recorder, execution, system):
+            calls["observe"] += 1
+            real_observe(recorder, execution, system)
+
+        def fingerprints(*args, **kwargs):
+            calls["config_fingerprints"] += 1
+            return real_fingerprints(*args, **kwargs)
+
+        monkeypatch.setattr(execset.ExecutionSetRecorder, "observe", observe)
+        monkeypatch.setattr(execset, "config_fingerprints", fingerprints)
+        meta = {"task": "set-consensus", "n": n, "k": k}
+        spec = resolve_spec({"spec": meta})
+        recorder = execset.ExecutionSetRecorder(
+            spec_meta=meta,
+            value_alphabet=[f"v{i}" for i in range(spec.n_processes)],
+        )
+        stats = Explorer(
+            spec, max_depth=60, strict=False, max_crashes=faults[0],
+            max_recoveries=faults[1], observers=[recorder],
+        ).run()
+        golden = GOLDEN[workload]
+        observed, steps, forked, hits = counts
+        assert calls == {"observe": observed,
+                         "config_fingerprints": golden["configs"]}
+        assert (stats.steps_on_path, stats.systems_forked, stats.cache_hits) \
+            == (steps, forked, hits)
+        # Every visited leaf forks once: a walked execution or a hit.
+        assert stats.systems_forked == observed + stats.cache_hits
+        assert stats.executions == recorder.executions == executions
+        assert recorder.digest == golden["configs_digest"]
+
+
 #: The ``config`` column of the streams the earlier ``repro-execset/1``
 #: recorder wrote for each CLI walk the CI smoke pins: (distinct
 #: configurations, sha256 of the sorted column joined by newlines).  A
@@ -305,9 +357,15 @@ EXECUTION_ID_STREAM_CONFIGS = {
     "rec": (300, "e035fd6507b0d5bd6d1839361046c71224be51f9ce9f9c7a0361117681a33f1f"),
     "rec-r1": (160, "569fdb3fab5735bbac8b2a18eadf5fb8b5b8fba8e5b83641f9070246c0810e35"),
     "crash": (192, "22705ed6ba66072448ac53feeceb9a284651ee2f64869b181b72109919c91e6e"),
-    "budget-1": (226, "1e007ef61678f38f1fc3e0072aff99c8402ca8b3c19e55d3e39eea339689d8c7"),
     "sigint-1": (14, "d3dfc8cd5ae156ac1cb3b757a7f97258dcdea158bd7154692776565bd2ccda6a"),
 }
+
+#: The first session of the ``rec`` walk cut by ``--max-steps 800``: 143
+#: configurations reached by its 1,113 executions.  Measured on the
+#: state-cached walk (no execution-id stream was written for this cut).
+BUDGET_CUT_CONFIGS = (
+    143, "a52bf751d9459152786d6af0e3975996e5866bdb0904d9fb83c0f9474f67268d"
+)
 
 CLI_WALKS = {
     "a": ["--n", "2", "--k", "1"],
@@ -341,25 +399,37 @@ class TestEquivalenceWithExecutionIdStreams:
         assert len(read_configs(path)) == count
         assert parsed.footer["digest"] == digest == parsed.own_digest
 
-    def test_budget_cut_and_resume(self, tmp_path):
+    def test_budget_cut_and_resume(self, tmp_path, capsys):
+        """The CI smoke's budget cut: the state-cached walk executes
+        2,552 steps, so a budget of 800 cuts it mid-walk."""
         from repro.__main__ import main
 
         checkpoint = str(tmp_path / "ck.jsonl")
-        common = ["--ledger", str(tmp_path / "runs.jsonl")]
+        ledger_path = str(tmp_path / "runs.jsonl")
+        common = ["--ledger", ledger_path]
         assert main(["explore", "--task", "set-consensus", *CLI_WALKS["rec"],
-                     "--max-steps", "3000", "--checkpoint", checkpoint,
+                     "--max-steps", "800", "--checkpoint", checkpoint,
                      "--execset-out", str(tmp_path / "b1.jsonl"), *common]) == 3
         assert main(["explore", "--resume", checkpoint,
                      "--execset-out", str(tmp_path / "b2.jsonl"), *common]) == 0
         first = read_configs(tmp_path / "b1.jsonl")
-        assert (len(first), execset.set_digest(first)) == \
-            EXECUTION_ID_STREAM_CONFIGS["budget-1"]
+        assert (len(first), execset.set_digest(first)) == BUDGET_CUT_CONFIGS
+        assert execset.read_execset(str(tmp_path / "b1.jsonl")).executions == 1113
         both = read_configs(tmp_path / "b1.jsonl", tmp_path / "b2.jsonl")
         assert (len(both), execset.set_digest(both)) == EXECUTION_ID_STREAM_CONFIGS["rec"]
         resumed = execset.read_execset(str(tmp_path / "b2.jsonl"))
         assert resumed.base_configs == first
         assert resumed.footer["merged_digest"] == EXECUTION_ID_STREAM_CONFIGS["rec"][1]
         assert resumed.footer["total_executions"] == 6540
+        # The resume chain diffs as the same set as a fresh walk.
+        fresh = str(tmp_path / "fresh.jsonl")
+        assert main(["explore", "--task", "set-consensus", *CLI_WALKS["rec"],
+                     "--no-ledger", "--execset-out", fresh]) == 0
+        records, _ = ledger.read_ledger(ledger_path)
+        capsys.readouterr()
+        assert main(["diff", fresh, records[-1]["run_id"],
+                     "--ledger", ledger_path]) == 0
+        assert "SAME SET" in capsys.readouterr().out
 
     def test_sigint_and_resume(self, tmp_path):
         """The CI smoke's SIGINT cut: a SIGINT raised at the 500th step."""

@@ -190,7 +190,17 @@ class TestRunsSubcommands:
         )
         return path, code
 
-    def test_list_show(self, tmp_path, capsys):
+    def test_list_show(self, tmp_path, capsys, monkeypatch):
+        from repro.obs.execset import ExecutionSetRecorder
+
+        walked = []
+        observe = ExecutionSetRecorder.observe
+
+        def counting(recorder, execution, system):
+            walked.append(execution)
+            observe(recorder, execution, system)
+
+        monkeypatch.setattr(ExecutionSetRecorder, "observe", counting)
         path, code = self.run_explore(tmp_path)
         assert code == 0
         assert main(["runs", "list", "--ledger", str(path)]) == 0
@@ -207,7 +217,10 @@ class TestRunsSubcommands:
             f"{record['generator_resumes']} generator resumes, "
             f"{record['memo_hits']} memo hits"
         ) in out
-        assert record["systems_forked"] == record["executions"] > 0
+        # The state-cached walk forks once per leaf it visits: each
+        # execution it walks, and each node it credits from the cache.
+        assert record["systems_forked"] == len(walked) + record["cache_hits"] > 0
+        assert record["executions"] >= len(walked)
         assert record["object_applies"] > 0
         run_id = records[0]["run_id"]
         assert main(["runs", "show", run_id, "--ledger", str(path)]) == 0

@@ -190,3 +190,55 @@ class TestRunAndReplay:
         execution = system.finalize()
         assert execution.statuses[0] is ProcessStatus.CRASHED
         assert execution.outputs[1] == "init"
+
+
+class TestIdentity:
+    """``identity()`` is computed once per configuration and kept until
+    the next transition; the recovery count comes from the process
+    record, not from a scan of the trace."""
+
+    def test_one_tuple_per_configuration(self):
+        system = reader_writer_spec().build()
+        first = system.identity()
+        assert system.identity() is first
+        assert system.fork().identity() is first
+        system.step(0)
+        assert system.identity() is not first
+        assert system.identity() != first
+
+    def test_every_transition_resets_it(self):
+        system = reader_writer_spec().build()
+        seen = [system.identity()]
+        system.crash(0)
+        seen.append(system.identity())
+        system.recover(0)
+        seen.append(system.identity())
+        system.step(1)
+        seen.append(system.identity())
+        assert len(set(seen)) == len(seen)
+
+    def test_no_op_faults_keep_it(self):
+        system = reader_writer_spec().build()
+        before = system.identity()
+        system.recover(0)  # not crashed: a no-op
+        assert system.identity() is before
+        system.crash(0)
+        crashed = system.identity()
+        system.crash(0)  # already dead: a no-op
+        assert system.identity() is crashed
+
+    def test_recovery_counts_match_the_trace(self):
+        system = reader_writer_spec().build()
+        for _ in range(2):
+            system.crash(0)
+            system.recover(0)
+        fork = system.fork()
+        fork.crash(0)
+        fork.recover(0)
+        for candidate, expected in ((system, 2), (fork, 3)):
+            assert len(candidate.trace.recoveries) == expected
+            assert candidate.processes[0].recoveries == expected
+            # one object text, then (status, node, recoveries) per pid
+            assert candidate.identity()[3] == expected
+            assert candidate.configuration()["processes"][0]["recoveries"] == expected
+        assert "recoveries" not in system.configuration()["processes"][1]
