@@ -142,7 +142,14 @@ def estimate_remaining(
 class Heartbeat:
     """Explorer observer emitting ``explore_heartbeat`` (walk observables
     plus :class:`CoverageEstimator` fields) at most once per
-    :data:`HEARTBEAT_INTERVAL`.  ``frontier`` is the walk's live DFS stack.
+    :data:`HEARTBEAT_INTERVAL`, and once more from :meth:`close` when the
+    walk ends with executions no beat has reported yet.  ``frontier`` is
+    the walk's live DFS stack.
+
+    It takes ``credit`` from a state-cached walk (see
+    :meth:`repro.runtime.explorer.Explorer.run`): a credited subtree's
+    executions are in the explorer's totals, but only the leaves the walk
+    actually walked go into ``mean_leaf_depth``.
     """
 
     def __init__(self, explorer: Any, frontier: List[Any]):
@@ -150,9 +157,11 @@ class Heartbeat:
         self._frontier = frontier
         self._estimator = CoverageEstimator()
         self._walk_started = self._last_heartbeat = time.monotonic()
+        self._beat_executions = explorer.total_executions
         self._branch_sum = 0  # branches over all expanded interior nodes
         self._branch_nodes = 0
-        self._leaf_depth_sum = 0  # depths of completed executions
+        self._leaf_depth_sum = 0  # depths of walked executions
+        self._leaves = 0
         self._depth = 0
 
     def observe_configuration(self, system: Any, depth: int, children: int) -> None:
@@ -163,19 +172,35 @@ class Heartbeat:
 
     def observe(self, execution: Any, system: Any) -> None:
         self._leaf_depth_sum += self._depth
+        self._leaves += 1
+        self._beat_if_due()
+
+    def credit(self, identity: Any, n: int) -> None:
+        # The explorer has already added the credited executions to its
+        # totals, which every beat reads.
+        self._beat_if_due()
+
+    def close(self) -> None:
+        """The walk ended, finished or interrupted: beat once more if
+        the totals moved since the last beat, so the trace ends with
+        them however fast the walk ran."""
+        if self._explorer.total_executions != self._beat_executions:
+            self._beat(time.monotonic())
+
+    def _beat_if_due(self) -> None:
         now = time.monotonic()
-        if now - self._last_heartbeat < HEARTBEAT_INTERVAL:
-            return
+        if now - self._last_heartbeat >= HEARTBEAT_INTERVAL:
+            self._beat(now)
+
+    def _beat(self, now: float) -> None:
         self._last_heartbeat = now
         stats = self._explorer.stats
-        executions = self._explorer.total_executions
+        executions = self._beat_executions = self._explorer.total_executions
         depths: Dict[int, int] = {}
         for prefix in self._frontier:
             depths[len(prefix)] = depths.get(len(prefix), 0) + 1
         mean_branch = self._branch_sum / self._branch_nodes if self._branch_nodes else 0.0
-        mean_leaf_depth = (
-            self._leaf_depth_sum / stats.executions if stats.executions else 0.0
-        )
+        mean_leaf_depth = self._leaf_depth_sum / self._leaves if self._leaves else 0.0
         elapsed = now - self._walk_started
         estimate = self._estimator.update(
             executions=executions,

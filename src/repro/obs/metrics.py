@@ -27,7 +27,7 @@ name                      kind        meaning
 ``checkpoints_written_total``  counter  explorer checkpoints flushed
 ``explorations_interrupted``  counter  walks cut short by a budget
 ``witnesses_captured_total``  counter  witness bundles archived, by kind
-``schedule_depth``        histogram   length of explored executions
+``schedule_depth``        histogram   length of walked (not credited) executions
 ``run_steps``             histogram   steps per completed ``System.run``
 ``witness_shrink_steps``  histogram   decisions removed per ddmin shrink
 ``witness_min_length``    histogram   decisions left after ddmin
@@ -323,8 +323,13 @@ class MetricsRegistry:
             self.counter("decisions_total", pid=fields.get("pid")).inc()
             self.gauge("enabled_processes").set(fields.get("enabled", 0))
         elif name == "schedule_explored":
-            self.counter("schedules_explored").inc()
-            self.histogram("schedule_depth").observe(_num(fields.get("depth")))
+            # A state-cached walk's hit carries the executions it credits;
+            # only a walked leaf's depth is an execution's length.
+            self.counter("schedules_explored").inc(
+                int(_num(fields.get("executions"), 1))
+            )
+            if "executions" not in fields:
+                self.histogram("schedule_depth").observe(_num(fields.get("depth")))
         elif name == "schedule_truncated":
             self.counter("schedules_truncated").inc()
         elif name == "frontier":

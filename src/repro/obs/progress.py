@@ -76,7 +76,7 @@ class ProgressReporter:
         if name == "step":
             self.steps += 1
         elif name == "schedule_explored":
-            self.schedules += 1
+            self.schedules += fields.get("executions", 1)
         elif name == "states_visited":
             self.states += fields.get("states", 0)
         elif name == "run_end":

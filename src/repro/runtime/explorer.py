@@ -249,7 +249,8 @@ class Explorer:
         child takes its system over), so a hook must copy out what it
         keeps, or :meth:`~repro.runtime.system.System.fork` it.  A walk
         started with the event bus enabled also carries a
-        :class:`~repro.obs.coverage.Heartbeat`.
+        :class:`~repro.obs.coverage.Heartbeat`, which takes ``credit``
+        and beats once more when the walk ends.
     """
 
     def __init__(
@@ -359,10 +360,15 @@ class Explorer:
         still the exact remaining work (a resumed run starts with an
         empty cache).
 
+        With the event bus on, a hit emits one ``schedule_explored``
+        event whose ``executions`` field is the credited count (a walked
+        leaf's event has no such field), and the walk's
+        :class:`~repro.obs.coverage.Heartbeat` takes the credit like any
+        observer, so a traced walk is cached too.
+
         The cache applies only without a ``pid_filter`` and when every
-        observer implements ``credit``.  Otherwise, e.g. under a
-        :class:`~repro.obs.coverage.Heartbeat` or an auditor, which need
-        every execution or every node, ``run()`` walks every execution
+        observer implements ``credit``.  Otherwise, e.g. under an
+        auditor, which needs every node, ``run()`` walks every execution
         as :meth:`executions` does.
         """
         for _execution in self._walk_frontier(self._start(), cached=True):
@@ -659,8 +665,10 @@ class Explorer:
         if budget is not None:
             budget.start()
         observers = list(self.observers)
+        heartbeat = None
         if _obs_events.is_enabled():
-            observers.append(Heartbeat(self, stack))
+            heartbeat = Heartbeat(self, stack)
+            observers.append(heartbeat)
         on_node = [
             o.observe_configuration for o in observers if hasattr(o, "observe_configuration")
         ]
@@ -690,6 +698,8 @@ class Explorer:
                 reason = budget.exhausted_reason()
             if reason is not None:
                 count_memo()
+                if heartbeat is not None:
+                    heartbeat.close()
                 self._interrupt(reason, observed)
                 return
             prefix = stack.pop()
@@ -712,6 +722,11 @@ class Explorer:
                     stats.cache_hits += 1
                     stats.executions += entry[0]
                     stats.max_depth_seen = max(stats.max_depth_seen, depth + entry[1])
+                    if observed:
+                        count_memo()  # a credit below may beat
+                        _obs_events.emit(
+                            "schedule_explored", depth=depth, executions=entry[0]
+                        )
                     for leaf, n in zip(entry[2::2], entry[3::2]):
                         for credit in on_credit:
                             credit(leaf, n)
@@ -776,6 +791,8 @@ class Explorer:
             yield execution
         if root is not None:
             count_memo()
+        if heartbeat is not None:
+            heartbeat.close()
         self._stack = []
         if self.checkpoint_path is not None:
             self.write_checkpoint()  # empty frontier marks completion

@@ -231,11 +231,28 @@ class TestObservability:
             record = json.loads(line)
             assert json.dumps(record, default=repr) == line
             counts[record["event"]] = counts.get(record["event"], 0) + 1
-        counts.pop("explore_heartbeat", None)  # time-driven
+        # Time-driven, but the walk's last beat closes it.
+        assert counts.pop("explore_heartbeat") >= 1
+        # The state-cached walk: 2,734 leaves walked or credited.
         assert counts == {
-            "span_start": 2, "span_end": 2, "frontier": 11743, "step": 9786,
-            "schedule_explored": 5040, "crash": 1956, "execset_digest": 1,
+            "span_start": 2, "span_end": 2, "frontier": 2429, "step": 3864,
+            "schedule_explored": 2734, "crash": 962, "execset_digest": 1,
         }
+
+    def test_stats_of_a_cached_walk_count_every_execution(
+        self, tmp_path, capsys
+    ):
+        """A credited subtree's executions are schedules explored, but
+        only walked leaves have a depth."""
+        trace = tmp_path / "T.jsonl"
+        assert main(CRASH_WALK + ["--trace-out", str(trace), "--no-ledger",
+                                  "--no-execset"]) == 0
+        capsys.readouterr()
+        assert main(["stats", str(trace)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "schedules_explored: 5040" in lines
+        depth = next(line for line in lines if line.startswith("schedule_depth:"))
+        assert depth.endswith(" over 336 schedules"), depth
 
     def test_stats_write_failure_exits_two(self, tmp_path, capsys):
         # Missing parent directories are created, so the unwritable path

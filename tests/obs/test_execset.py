@@ -345,6 +345,45 @@ class TestCachedRecorderCost:
         assert stats.executions == recorder.executions == executions
         assert recorder.digest == golden["configs_digest"]
 
+    def test_serve_worker_argv_is_cached(self, tmp_path, monkeypatch):
+        """The serve worker's whole command line (trace, checkpoint,
+        witness dir, ledger, execset) costs what the bare recorder walk
+        above costs: the trace's heartbeat takes credit."""
+        from repro.__main__ import main
+        from repro.obs.jobs import Job, JobManager, validate_spec
+
+        observed = []
+        real_observe = execset.ExecutionSetRecorder.observe
+
+        def observe(recorder, execution, system):
+            observed.append(1)
+            real_observe(recorder, execution, system)
+
+        monkeypatch.setattr(execset.ExecutionSetRecorder, "observe", observe)
+        job = Job(
+            id="job-0001",
+            spec=validate_spec(
+                {"task": "set-consensus", "n": 2, "k": 1, "max_crashes": 1}
+            ),
+            job_dir=str(tmp_path / "job-0001"),
+            attempts=1,
+        )
+        manager = JobManager(str(tmp_path / "data"), max_workers=1)
+        try:
+            argv = manager.worker_argv(job, resume=False)
+        finally:
+            manager.drain(timeout=5)
+        assert main(argv) == 0
+        records, _skipped = ledger.read_ledger(manager.ledger_path)
+        record = records[-1]
+        assert (record["executions"], record["steps"], record["systems_forked"],
+                record["cache_hits"], len(observed)) == (5040, 3864, 2734, 2398, 336)
+        with open(job.trace_path(1), encoding="utf-8") as trace:
+            steps = sum(1 for line in trace if '"event": "step"' in line)
+        assert steps == 3864
+        footer = execset.read_execset(job.execset_path(1)).footer
+        assert footer["digest"] == GOLDEN["serve-worker"]["configs_digest"]
+
 
 #: The ``config`` column of the streams the earlier ``repro-execset/1``
 #: recorder wrote for each CLI walk the CI smoke pins: (distinct
@@ -357,7 +396,6 @@ EXECUTION_ID_STREAM_CONFIGS = {
     "rec": (300, "e035fd6507b0d5bd6d1839361046c71224be51f9ce9f9c7a0361117681a33f1f"),
     "rec-r1": (160, "569fdb3fab5735bbac8b2a18eadf5fb8b5b8fba8e5b83641f9070246c0810e35"),
     "crash": (192, "22705ed6ba66072448ac53feeceb9a284651ee2f64869b181b72109919c91e6e"),
-    "sigint-1": (14, "d3dfc8cd5ae156ac1cb3b757a7f97258dcdea158bd7154692776565bd2ccda6a"),
 }
 
 #: The first session of the ``rec`` walk cut by ``--max-steps 800``: 143
@@ -365,6 +403,13 @@ EXECUTION_ID_STREAM_CONFIGS = {
 #: state-cached walk (no execution-id stream was written for this cut).
 BUDGET_CUT_CONFIGS = (
     143, "a52bf751d9459152786d6af0e3975996e5866bdb0904d9fb83c0f9474f67268d"
+)
+
+#: The first session of the ``a`` walk cut by a SIGINT at its 500th
+#: step: 26 configurations reached by its 366 executions.  Measured on
+#: the state-cached walk, which a traced walk takes too.
+SIGINT_CUT_CONFIGS = (
+    26, "ca7bb7f244ce55e83e3d60e3dcddfef74e8f1bc0f2e6812805c4ecb828edcbb1"
 )
 
 CLI_WALKS = {
@@ -432,7 +477,8 @@ class TestEquivalenceWithExecutionIdStreams:
         assert "SAME SET" in capsys.readouterr().out
 
     def test_sigint_and_resume(self, tmp_path):
-        """The CI smoke's SIGINT cut: a SIGINT raised at the 500th step."""
+        """The CI smoke's SIGINT cut: a SIGINT raised at the 500th of the
+        state-cached walk's 962 steps."""
         from repro.__main__ import main
 
         checkpoint = str(tmp_path / "ck.jsonl")
@@ -456,8 +502,7 @@ class TestEquivalenceWithExecutionIdStreams:
         assert main(["explore", "--resume", checkpoint,
                      "--execset-out", str(tmp_path / "s2.jsonl"), *common]) == 0
         first = read_configs(tmp_path / "s1.jsonl")
-        assert (len(first), execset.set_digest(first)) == \
-            EXECUTION_ID_STREAM_CONFIGS["sigint-1"]
+        assert (len(first), execset.set_digest(first)) == SIGINT_CUT_CONFIGS
         both = read_configs(tmp_path / "s1.jsonl", tmp_path / "s2.jsonl")
         assert (len(both), execset.set_digest(both)) == EXECUTION_ID_STREAM_CONFIGS["a"]
 

@@ -183,6 +183,8 @@ class TestEventConsumption:
         registry.consume_event("step", {"pid": 0, "object": "r", "method": "read"})
         registry.consume_event("decision", {"pid": 0, "enabled": 2})
         registry.consume_event("schedule_explored", {"depth": 6})
+        # A state-cache hit credits its subtree's executions; no depth.
+        registry.consume_event("schedule_explored", {"depth": 2, "executions": 7})
         registry.consume_event("schedule_truncated", {"depth": 9})
         registry.consume_event("states_visited", {"object": "X", "states": 42})
         registry.consume_event("valency_subtree", {"executions": 5})
@@ -191,7 +193,8 @@ class TestEventConsumption:
         registry.consume_event("span_end", {"span": "E1", "seconds": 0.25})
         assert registry.counter_total("steps_total") == 2
         assert registry.counter_total("decisions_total") == 1
-        assert registry.counter_total("schedules_explored") == 1
+        assert registry.counter_total("schedules_explored") == 8
+        assert registry.histogram("schedule_depth").count == 1
         assert registry.counter_total("schedules_truncated") == 1
         assert registry.counter_total("states_visited") == 42
         assert registry.counter_total("valency_executions") == 5

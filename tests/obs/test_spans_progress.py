@@ -169,10 +169,11 @@ class TestProgressReporter:
         reporter.install()
         try:
             events.emit("schedule_explored", depth=3)
+            events.emit("schedule_explored", depth=1, executions=4)  # a cache hit
             events.emit("states_visited", states=10)
             events.emit("run_end", steps=5)
             events.emit("span_start", span="E4")
-            assert reporter.schedules == 1
+            assert reporter.schedules == 5
             assert reporter.states == 10
             assert reporter.runs == 1
             assert reporter.current_phase == "E4"
@@ -181,7 +182,7 @@ class TestProgressReporter:
         finally:
             reporter.close()
         final = stream.getvalue()
-        assert "1 schedules" in final
+        assert "5 schedules" in final
         assert "10 states" in final
 
     def test_close_unsubscribes(self):

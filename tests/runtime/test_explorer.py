@@ -288,13 +288,90 @@ class TestHeartbeat:
             sum(leaf_depths) / len(leaf_depths), 3
         )
 
-    def test_long_interval_stays_quiet(self, monkeypatch):
+    def test_long_interval_beats_once_at_the_end(self, monkeypatch):
+        """No beat falls due mid-walk; the closing beat still carries the
+        final totals."""
         from repro.obs import coverage
 
         monkeypatch.setattr(coverage, "HEARTBEAT_INTERVAL", 3600.0)
         explorer = Explorer(one_step_spec(3))
         beats = self.collect(explorer)
-        assert beats == []
+        assert [(b["executions"], b["frontier"]) for b in beats] == [(6, 0)]
+        assert beats[0]["steps_on_path"] == explorer.stats.steps_on_path
+
+    @pytest.mark.parametrize("stop_after, closing", [(0, []), (2, [(2, 2)])])
+    def test_interrupted_walk_closes_only_if_totals_moved(
+        self, monkeypatch, stop_after, closing
+    ):
+        """A stopped walk beats once before ``exploration_interrupted``,
+        unless it has no executions no beat reported."""
+        from repro.obs import coverage, events
+
+        monkeypatch.setattr(coverage, "HEARTBEAT_INTERVAL", 3600.0)
+        seen = []
+
+        def listen(name, fields):
+            if name == "explore_heartbeat":
+                seen.append((fields["executions"], fields["frontier"]))
+            elif name == "exploration_interrupted":
+                seen.append(name)
+
+        explorer = Explorer(one_step_spec(3))
+        if not stop_after:
+            explorer.request_stop("test")
+        events.subscribe(listen)
+        try:
+            for count, _execution in enumerate(explorer.executions(), 1):
+                if count == stop_after:
+                    explorer.request_stop("test")
+        finally:
+            events.unsubscribe(listen)
+        assert seen[-1] == "exploration_interrupted"
+        assert seen[:-1] == closing
+
+    def test_cached_walk_reports_credited_totals_and_walked_depths(self):
+        """Under ``run()``'s state cache the last beat carries every
+        execution, credited ones included, and the mean depth of the
+        leaves the walk actually walked."""
+        from repro.obs import events
+        from repro.obs.witness import resolve_spec
+
+        class WalkedLeaves:
+            def __init__(self):
+                self.depths = []
+
+            def observe(self, execution, system):
+                self.depths.append(len(execution.full_decisions))
+
+            def credit(self, identity, n):
+                pass
+
+        spec = resolve_spec({"spec": {"task": "set-consensus", "n": 1, "k": 2}})
+        leaves = WalkedLeaves()
+        explorer = Explorer(
+            spec, strict=False, max_crashes=2, max_recoveries=2,
+            observers=[leaves],
+        )
+        beats = []
+
+        def listen(name, fields):
+            if name == "explore_heartbeat":
+                beats.append(dict(fields))
+
+        events.subscribe(listen)
+        try:
+            stats = explorer.run()
+        finally:
+            events.unsubscribe(listen)
+        assert stats.cache_hits > 0
+        assert len(leaves.depths) < stats.executions == 6540
+        last = beats[-1]
+        assert last["executions"] == stats.executions
+        assert last["steps_on_path"] == stats.steps_on_path
+        assert last["systems_forked"] == stats.systems_forked
+        assert last["mean_leaf_depth"] == round(
+            sum(leaves.depths) / len(leaves.depths), 3
+        )
 
     def test_run_id_lands_in_checkpoint(self, tmp_path):
         from repro.faults.checkpoint import read_checkpoint

@@ -92,8 +92,9 @@ def test_immediate_snapshot_n3_through_the_recorder():
 
 
 class TestWhenTheCacheApplies:
-    """The cache needs every observer to take ``credit`` and no
-    ``pid_filter``; otherwise ``run()`` walks every execution."""
+    """The cache needs every observer to take ``credit`` (the event bus's
+    Heartbeat does) and no ``pid_filter``; otherwise ``run()`` walks
+    every execution."""
 
     def unreduced_steps(self, tmp_path):
         stats, _stream = walk(tmp_path, "rec", cached=False)
@@ -116,16 +117,30 @@ class TestWhenTheCacheApplies:
         assert stats.cache_hits == 0
         assert stats.steps_on_path == self.unreduced_steps(tmp_path)
 
-    def test_an_event_sink_keeps_the_walk_unreduced(self, tmp_path):
-        """With the event bus on, the walk carries a Heartbeat."""
-        seen = []
-        subscriber = events.subscribe(lambda name, _fields: seen.append(name))
+    def test_an_event_sink_is_cached(self, tmp_path):
+        """With the event bus on, the walk's Heartbeat takes credit too:
+        the stream is the unreduced one, ``step`` events count the steps
+        taken, and each hit's ``schedule_explored`` carries the
+        executions it credits."""
+        steps = []
+        credited = []
+
+        def listen(name, fields):
+            if name == "step":
+                steps.append(1)
+            elif name == "schedule_explored":
+                credited.append(fields.get("executions", 1))
+
+        subscriber = events.subscribe(listen)
         try:
-            stats, _stream = walk(tmp_path, "rec", cached=True)
+            stats, stream = walk(tmp_path, "rec", cached=True)
         finally:
             events.unsubscribe(subscriber)
-        assert stats.cache_hits == 0
-        assert seen.count("schedule_explored") == stats.executions == 6540
+        _plain, plain_stream = walk(tmp_path, "rec", cached=False)
+        assert stream == plain_stream
+        assert stats.cache_hits > 0
+        assert len(steps) == stats.steps_on_path
+        assert sum(credited) == stats.executions == 6540
 
     def test_no_observers_is_cached(self):
         spec = resolve_spec({"spec": {"task": "set-consensus", "n": 2, "k": 1}})
