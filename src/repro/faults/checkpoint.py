@@ -51,12 +51,17 @@ entry existed, or by a recorder of the older execution-id format, carry
 no ``configs``: the resumed run's set then covers only its own session.
 
 Writing a checkpoint emits a ``checkpoint_written`` event (path,
-frontier size, executions completed) through :mod:`repro.obs`.
+frontier size, executions completed) through :mod:`repro.obs`.  The
+temp file of checkpoint ``<name>`` is ``.checkpoint-<name>-<random>.tmp``
+beside it; a writer killed before its rename leaves one behind, and the
+next write of ``<name>`` removes it (other checkpoints' temp files are
+left to their own writers).
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, Dict, List, Optional, Tuple
@@ -159,9 +164,9 @@ def write_checkpoint(
         json.dumps({"prefix": [[pid, choice] for pid, choice in prefix]})
         for prefix in frontier
     )
-    write_atomic(
-        path, chain([json.dumps(header)], prefixes), prefix=".checkpoint-"
-    )
+    prefix = f".checkpoint-{os.path.basename(path)}-"
+    _remove_stale_temp_files(path, prefix)
+    write_atomic(path, chain([json.dumps(header)], prefixes), prefix=prefix)
     if _obs_events.is_enabled():
         _obs_events.emit(
             "checkpoint_written",
@@ -169,6 +174,27 @@ def write_checkpoint(
             frontier=len(frontier),
             executions=executions,
         )
+
+
+def _remove_stale_temp_files(path: str, prefix: str) -> None:
+    """Remove the temp files earlier writers of checkpoint ``path`` were
+    killed with.  Checkpoint ``<name>-x``'s temp files also start with
+    ``prefix``, but hold a dash after it; a random temp suffix never does."""
+    directory = os.path.dirname(os.path.abspath(path))
+    try:
+        names = os.listdir(directory)
+    except FileNotFoundError:
+        return
+    for name in names:
+        if (
+            name.startswith(prefix)
+            and name.endswith(".tmp")
+            and "-" not in name[len(prefix) :]
+        ):
+            try:
+                os.unlink(os.path.join(directory, name))
+            except FileNotFoundError:
+                pass
 
 
 def peek_checkpoint(path: str) -> Optional[Checkpoint]:

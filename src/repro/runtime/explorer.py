@@ -14,7 +14,8 @@ The last child of a node takes the parent's system over instead of
 forking it, and forks share process records copy-on-write, so a fresh
 walk forks once per execution and copies only the records it writes.
 :meth:`Explorer.run`, the walk ``repro explore`` takes, adds a state
-cache: a subtree it has already finished is credited, not walked again.
+cache: a subtree it has already finished is credited, not walked again,
+and looked up before the child is forked.
 Python generators cannot be copied, so forking rests on a purity
 assumption: programs are generators whose control state depends only on
 the responses they have received — no RNG, no state shared across
@@ -99,7 +100,9 @@ class ExplorationStatistics:
     nodes whose subtree was credited from the cache instead of walked.
     ``executions``, ``max_depth_seen`` and ``truncated`` still describe
     the whole tree, credited subtrees included, while the step, fault,
-    fork and memo counters count only the work actually done.
+    fork and memo counters count only the work actually done.  A hit is
+    looked up before its node is built, so it forks and steps nothing:
+    every decision applied leads into a node the walk expands.
     """
 
     executions: int = 0
@@ -127,10 +130,10 @@ class _Subtree:
 
     An entry is one flat tuple ``(executions, height, leaf, n, leaf, n,
     ...)``: the maximal executions in the node's subtree, the subtree's
-    height, and the identity of each final configuration in it with the
-    number of those executions that end there.  ``leaves`` becomes
-    ``None`` when a child's subtree hit ``max_depth``; such a node is
-    never stored.
+    height, and each final configuration in it, as the walk's integer
+    leaf id for its identity, with the number of those executions that
+    end there.  ``leaves`` becomes ``None`` when a child's subtree hit
+    ``max_depth``; such a node is never stored.
     """
 
     __slots__ = ("key", "parent", "pending", "executions", "height", "leaves")
@@ -349,7 +352,11 @@ class Explorer:
         Unlike :meth:`executions`, the walk keeps a state cache: a node
         whose key, :meth:`~repro.runtime.system.System.identity` plus the
         fault-order context :meth:`_branches` reads, names a subtree the
-        walk already finished is credited instead of walked.  Its
+        walk already finished is credited instead of walked.  The key is
+        computed on the edge, from the parent's configuration and the
+        decision (:meth:`~repro.runtime.system.System.successor_identity`),
+        so a hit forks no system and applies no decision; a miss forks,
+        applies, and keeps the computed identity as the child's.  Its
         executions and height go to :attr:`stats`, and each final
         configuration under it goes to every observer's
         ``credit(identity, n)``.  Only a finished node is cached, so a
@@ -636,7 +643,8 @@ class Explorer:
         :meth:`~repro.runtime.system.System.fork` plus one decision, except
         the parent's last child popped, which applies its decision to the
         parent itself (unless the parent was also yielded as an execution,
-        whose trace must stay as yielded).
+        whose trace must stay as yielded).  A state-cached walk looks the
+        child up first and builds it only on a miss.
         Entries without a parent (the frontier passed in) fork the walk's
         single built root and re-apply their prefix.
         """
@@ -678,6 +686,17 @@ class Explorer:
             on_credit = [getattr(o, "credit", None) for o in observers]
             if None not in on_credit:
                 cache = {}
+                # Entries name final configurations by per-walk leaf id,
+                # so merging them up the tree hashes small ints.
+                leaf_ids: dict = {}
+                leaf_identities: list = []
+
+                def leaf_id(identity: tuple) -> int:
+                    found = leaf_ids.get(identity)
+                    if found is None:
+                        found = leaf_ids[identity] = len(leaf_identities)
+                        leaf_identities.append(identity)
+                    return found
         faults = bool(self.max_crashes or self.max_recoveries)
         checkpointed = stats.executions
 
@@ -704,18 +723,20 @@ class Explorer:
                 return
             prefix = stack.pop()
             parent = parents.pop()
-            subtree = None
-            if parent is not None:
-                system, outcomes, takes_over, subtree = parent
-                if not takes_over:
-                    system = system.fork()
-                self._apply(system, prefix[-1], outcomes)
-            else:
-                system = self._resume(root, prefix)
             depth = len(prefix)
             stats.max_depth_seen = max(stats.max_depth_seen, depth)
+            if parent is None:
+                system = self._resume(root, prefix)
+                subtree = None
+                if cache is not None:
+                    identity = system.identity()
+            else:
+                system, outcomes, takes_over, subtree = parent
+                if cache is not None:
+                    # Looked up before the child exists: a hit forks and
+                    # steps nothing.
+                    identity = system.successor_identity(*prefix[-1], outcomes)
             if cache is not None:
-                identity = system.identity()
                 key = (identity + self._fault_context(prefix)) if faults else identity
                 entry = cache.get(key)
                 if entry is not None and depth + entry[1] <= self.max_depth:
@@ -728,11 +749,18 @@ class Explorer:
                             "schedule_explored", depth=depth, executions=entry[0]
                         )
                     for leaf, n in zip(entry[2::2], entry[3::2]):
+                        leaf = leaf_identities[leaf]
                         for credit in on_credit:
                             credit(leaf, n)
                     _finish(cache, key, subtree, entry)
                     checkpoint_if_due()
                     continue
+            if parent is not None:
+                if not takes_over:
+                    system = system.fork()
+                self._apply(system, prefix[-1], outcomes)
+                if cache is not None:
+                    system._identity = identity  # built once per node
             branches = self._branches(system, prefix)
             children = branches if depth < self.max_depth else []
             for hook in on_node:
@@ -752,7 +780,7 @@ class Explorer:
                     node = _Subtree(key, subtree, len(children))
                     if maximal:
                         node.executions = 1
-                        node.leaves[identity] = 1
+                        node.leaves[leaf_id(identity)] = 1
                 for decision, outcomes in reversed(children):
                     stack.append(prefix + [decision])
                     parents.append((system, outcomes, takes_over, node))
@@ -776,7 +804,7 @@ class Explorer:
                 if observed:
                     _obs_events.emit("schedule_explored", depth=depth)
                 if cache is not None:
-                    _finish(cache, key, subtree, (1, 0, identity, 1))
+                    _finish(cache, key, subtree, (1, 0, leaf_id(identity), 1))
             stats.executions += 1
             count_memo()
             execution = system.finalize(prefix)

@@ -309,6 +309,11 @@ class ProcessStatus(enum.Enum):
     #: Parked forever after misusing an object in ``hang_on_misuse`` mode.
     BLOCKED = "blocked"
 
+    # Members are singletons compared by identity, so the identity hash
+    # agrees with ``==``, and it runs in C: ``Enum.__hash__`` is a Python
+    # call, paid per process each time a configuration identity is hashed.
+    __hash__ = object.__hash__
+
 
 class Process:
     """A single simulated process.

@@ -53,6 +53,10 @@ class SystemSpec:
         self.programs: List[ProgramFactory] = list(programs)
         if not self.programs:
             raise ProtocolError("a system needs at least one process")
+        #: Object name -> the position of its text in :meth:`System.identity`.
+        self.object_slots: Dict[str, int] = {
+            name: slot for slot, name in enumerate(self.objects)
+        }
 
     @property
     def n_processes(self) -> int:
@@ -129,10 +133,7 @@ class System:
         """
         memo = self.memo
         if not memo.recording:
-            memo.record(process.node for process in self.processes)
-            states = self.object_states
-            for name, state in states.items():
-                states[name] = memo.canonical(state)
+            self._record()
         memo.forks += 1
         clone = System.__new__(System)
         clone.spec = self.spec
@@ -290,11 +291,15 @@ class System:
         A process enters as ``status, program node, recovery count``
         (the count kept on its record): its trie node is
         reached by exactly the responses delivered since its last
-        recovery, and fixes the pending operation.  Nodes belong to one
-        program memo, so only a system and its forks share identities;
-        equal configurations may still differ in identity (nodes made
-        before the memo records transitions), so a cache keyed on
-        identities can miss but never aliases.
+        recovery, and fixes the pending operation.  Every element hashes
+        in C (statuses hash by identity, see
+        :class:`~repro.runtime.process.ProcessStatus`), so a cache lookup
+        makes no Python call per element, and :meth:`successor_identity`
+        builds a child's identity from this one without stepping.  Nodes
+        belong to one program memo, so only a system and its forks share
+        identities; equal configurations may still differ in identity
+        (nodes made before the memo records transitions), so a cache
+        keyed on identities can miss but never aliases.
         """
         identity = self._identity
         if identity is None:
@@ -307,6 +312,70 @@ class System:
                 parts += (process.status, process.node, process.recoveries)
             identity = self._identity = tuple(parts)
         return identity
+
+    def successor_identity(
+        self, pid: int, choice: int, outcomes: Optional[List[Tuple[Any, Any]]] = None
+    ) -> Tuple[Any, ...]:
+        """The :meth:`identity` this configuration would have after
+        :meth:`apply` ``(pid, choice, outcomes)``, computed without
+        forking or changing it: a step's target object takes the text of
+        its new state and ``pid`` takes its status, program node and
+        recovery count after the memo's transition, a crash, a recovery
+        or a hang-on-misuse block.  Annotations name nothing in an
+        identity, so they are not drained.
+
+        The transition is taken in the program memo, which records it,
+        so applying the decision afterwards reaches the same node object
+        and the identities are equal.  A memo not yet recording starts
+        recording here, as on the first :meth:`fork`: an unrecorded
+        transition would consume the node's generator and lead the later
+        step to a different node."""
+        if not self.memo.recording:
+            self._record()
+        identity = self.identity()
+        process = self.processes[pid]
+        status = process.status
+        node = process.node
+        recoveries = process.recoveries
+        parts = list(identity)
+        if choice == CRASH_CHOICE:
+            if not process.is_live:
+                return identity
+            status = ProcessStatus.CRASHED
+        elif choice == RECOVER_CHOICE:
+            if status is not ProcessStatus.CRASHED:
+                return identity
+            node = self.memo.root(pid)
+            if node.operation is None:
+                status = ProcessStatus.DONE
+            else:
+                status = ProcessStatus.POISED
+            recoveries += 1
+        else:
+            if status is not ProcessStatus.POISED:
+                raise SchedulingError(
+                    f"cannot step process {pid}: status is {status.value}"
+                )
+            if outcomes is None:
+                outcomes = self.outcomes_for(pid)
+            if not outcomes:
+                status = ProcessStatus.BLOCKED
+            else:
+                if not 0 <= choice < len(outcomes):
+                    raise SchedulingError(
+                        f"choice {choice} out of range for {len(outcomes)} "
+                        f"outcomes of {node.operation}"
+                    )
+                response, new_state = outcomes[choice]
+                parts[self.spec.object_slots[node.operation.target]] = (
+                    self.memo.texts.get(id(new_state)) or repr(new_state)
+                )
+                node = self.memo.advance(pid, node, response)
+                if node.operation is None:
+                    status = ProcessStatus.DONE
+        at = len(self.object_states) + 3 * pid
+        parts[at : at + 3] = (status, node, recoveries)
+        return tuple(parts)
 
     # ------------------------------------------------------------------
     # Transitions
@@ -389,8 +458,11 @@ class System:
         )
         self.trace.steps.append(record)
         process.deliver(response)
-        self._drain_annotations(process)
-        self._note_status(process)
+        if process.node.annotations:
+            self._drain_annotations(process)
+        # A process that stays POISED is already listed as such.
+        if process.status is not ProcessStatus.POISED:
+            self._note_status(process)
         if _obs_events.is_enabled():
             _obs_events.emit(
                 "step",
@@ -454,6 +526,18 @@ class System:
         steps = 0
         charged = 0
         interrupted = False
+        # Loop invariants: the process list and the enabled list are
+        # mutated in place, never replaced.
+        processes = self.processes
+        n_processes = len(processes)
+        enabled = self._enabled
+        next_pid = scheduler.next_pid
+        choose = scheduler.choose
+        outcomes_for = self.outcomes_for
+        step = self.step
+        is_enabled = _obs_events.is_enabled
+        crashed = ProcessStatus.CRASHED
+        poised = ProcessStatus.POISED
         while steps < max_steps:
             if budget is not None and steps - charged >= 64:
                 budget.charge_steps(steps - charged)
@@ -461,32 +545,27 @@ class System:
                 if budget.exhausted_reason() is not None:
                     interrupted = True
                     break
-            if not self._enabled and not any(
-                p.status is ProcessStatus.CRASHED for p in self.processes
-            ):
+            if not enabled and not any(p.status is crashed for p in processes):
                 break
             # With crashed processes around the scheduler is still
             # consulted even when nothing is enabled — a crash-recovery
             # scheduler may revive someone; every bundled scheduler
             # returns None on an empty enabled set, ending the run.
-            pid = scheduler.next_pid(self)
+            pid = next_pid(self)
             if pid is None:
                 break
             # Checked after next_pid: a scheduler may crash or revive
             # processes as a side effect, shrinking or growing the set.
-            if not (
-                0 <= pid < len(self.processes)
-                and self.processes[pid].status is ProcessStatus.POISED
-            ):
+            if not (0 <= pid < n_processes and processes[pid].status is poised):
                 raise SchedulingError(
                     f"scheduler chose disabled process {pid} "
-                    f"(enabled: {self._enabled})"
+                    f"(enabled: {enabled})"
                 )
-            if _obs_events.is_enabled():
-                _obs_events.emit("decision", pid=pid, enabled=len(self._enabled))
-            outcomes = self.outcomes_for(pid)
-            choice = scheduler.choose(self, pid, len(outcomes)) if len(outcomes) > 1 else 0
-            self.step(pid, choice, outcomes)
+            if is_enabled():
+                _obs_events.emit("decision", pid=pid, enabled=len(enabled))
+            outcomes = outcomes_for(pid)
+            choice = choose(self, pid, len(outcomes)) if len(outcomes) > 1 else 0
+            step(pid, choice, outcomes)
             steps += 1
         if budget is not None and steps > charged:
             budget.charge_steps(steps - charged)
@@ -521,6 +600,15 @@ class System:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _record(self) -> None:
+        """Start the memo recording transitions (see :meth:`fork`), with
+        this system's object states made canonical."""
+        memo = self.memo
+        memo.record(process.node for process in self.processes)
+        states = self.object_states
+        for name, state in states.items():
+            states[name] = memo.canonical(state)
+
     def _own(self, pid: int) -> Process:
         """Give this system its own copy of ``pid``'s shared record."""
         process = self.processes[pid] = self.processes[pid].fork()

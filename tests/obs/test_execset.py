@@ -294,18 +294,32 @@ class TestRecorderCost:
         assert footer["digest"] == golden["configs_digest"]
 
 
+class _NodeCounter:
+    """Counts the nodes a walk expands; takes credit, so the walk stays
+    state-cached."""
+
+    def __init__(self):
+        self.nodes = 0
+
+    def observe_configuration(self, system, depth, children):
+        self.nodes += 1
+
+    def credit(self, identity, n):
+        pass
+
+
 class TestCachedRecorderCost:
     """Exact-count gate for the state-cached walk (``Explorer.run``):
     :meth:`observe` runs once per leaf the walk visits, fingerprints once
     per distinct final configuration, and a revisited subtree is credited
-    instead of forked and stepped again."""
+    from its key alone: no hit forks a system or applies a decision."""
 
     @pytest.mark.parametrize(
         "workload, n, k, faults, executions, counts",
         [
             # (observe calls, steps_on_path, systems_forked, cache_hits)
-            ("explore-recovery", 1, 2, (2, 2), 6540, (416, 2552, 2208, 1792)),
-            ("serve-worker", 2, 1, (1, 0), 5040, (336, 3864, 2734, 2398)),
+            ("explore-recovery", 1, 2, (2, 2), 6540, (416, 922, 1028, 1792)),
+            ("serve-worker", 2, 1, (1, 0), 5040, (336, 1466, 1469, 2398)),
         ],
     )
     def test_walk_call_counts(self, monkeypatch, workload, n, k, faults,
@@ -330,9 +344,10 @@ class TestCachedRecorderCost:
             spec_meta=meta,
             value_alphabet=[f"v{i}" for i in range(spec.n_processes)],
         )
+        counter = _NodeCounter()
         stats = Explorer(
             spec, max_depth=60, strict=False, max_crashes=faults[0],
-            max_recoveries=faults[1], observers=[recorder],
+            max_recoveries=faults[1], observers=[recorder, counter],
         ).run()
         golden = GOLDEN[workload]
         observed, steps, forked, hits = counts
@@ -340,8 +355,13 @@ class TestCachedRecorderCost:
                          "config_fingerprints": golden["configs"]}
         assert (stats.steps_on_path, stats.systems_forked, stats.cache_hits) \
             == (steps, forked, hits)
-        # Every visited leaf forks once: a walked execution or a hit.
-        assert stats.systems_forked == observed + stats.cache_hits
+        # Every decision applied makes a node the walk expands (the root
+        # is built, not applied), and so does every fork: a hit does
+        # neither.
+        applied = stats.steps_on_path + stats.faults_injected \
+            + stats.recoveries_injected
+        assert applied == counter.nodes - 1
+        assert stats.systems_forked <= counter.nodes
         assert stats.executions == recorder.executions == executions
         assert recorder.digest == golden["configs_digest"]
 
@@ -377,10 +397,14 @@ class TestCachedRecorderCost:
         records, _skipped = ledger.read_ledger(manager.ledger_path)
         record = records[-1]
         assert (record["executions"], record["steps"], record["systems_forked"],
-                record["cache_hits"], len(observed)) == (5040, 3864, 2734, 2398, 336)
+                record["cache_hits"], len(observed)) == (5040, 1466, 1469, 2398, 336)
         with open(job.trace_path(1), encoding="utf-8") as trace:
-            steps = sum(1 for line in trace if '"event": "step"' in line)
-        assert steps == 3864
+            events_seen = [json.loads(line)["event"] for line in trace]
+        # No hit forks or applies: each step or crash makes an expanded
+        # node (a ``frontier`` event), all but the root.
+        assert events_seen.count("step") == 1466
+        assert events_seen.count("step") + events_seen.count("crash") \
+            == events_seen.count("frontier") - 1
         footer = execset.read_execset(job.execset_path(1)).footer
         assert footer["digest"] == GOLDEN["serve-worker"]["configs_digest"]
 
@@ -398,18 +422,18 @@ EXECUTION_ID_STREAM_CONFIGS = {
     "crash": (192, "22705ed6ba66072448ac53feeceb9a284651ee2f64869b181b72109919c91e6e"),
 }
 
-#: The first session of the ``rec`` walk cut by ``--max-steps 800``: 143
-#: configurations reached by its 1,113 executions.  Measured on the
+#: The first session of the ``rec`` walk cut by ``--max-steps 400``: 161
+#: configurations reached by its 1,220 executions.  Measured on the
 #: state-cached walk (no execution-id stream was written for this cut).
 BUDGET_CUT_CONFIGS = (
-    143, "a52bf751d9459152786d6af0e3975996e5866bdb0904d9fb83c0f9474f67268d"
+    161, "2bed5098ee5df85c3fc5eef26aeb33ebc925d098b005af468da61ff2d35a4fe2"
 )
 
-#: The first session of the ``a`` walk cut by a SIGINT at its 500th
-#: step: 26 configurations reached by its 366 executions.  Measured on
+#: The first session of the ``a`` walk cut by a SIGINT at its 250th
+#: step: 24 configurations reached by its 324 executions.  Measured on
 #: the state-cached walk, which a traced walk takes too.
 SIGINT_CUT_CONFIGS = (
-    26, "ca7bb7f244ce55e83e3d60e3dcddfef74e8f1bc0f2e6812805c4ecb828edcbb1"
+    24, "c1108d12cf1e5af9052591659bb7df59c1a978b312943469e08e5ef034059ae2"
 )
 
 CLI_WALKS = {
@@ -446,20 +470,20 @@ class TestEquivalenceWithExecutionIdStreams:
 
     def test_budget_cut_and_resume(self, tmp_path, capsys):
         """The CI smoke's budget cut: the state-cached walk executes
-        2,552 steps, so a budget of 800 cuts it mid-walk."""
+        922 steps, so a budget of 400 cuts it mid-walk."""
         from repro.__main__ import main
 
         checkpoint = str(tmp_path / "ck.jsonl")
         ledger_path = str(tmp_path / "runs.jsonl")
         common = ["--ledger", ledger_path]
         assert main(["explore", "--task", "set-consensus", *CLI_WALKS["rec"],
-                     "--max-steps", "800", "--checkpoint", checkpoint,
+                     "--max-steps", "400", "--checkpoint", checkpoint,
                      "--execset-out", str(tmp_path / "b1.jsonl"), *common]) == 3
         assert main(["explore", "--resume", checkpoint,
                      "--execset-out", str(tmp_path / "b2.jsonl"), *common]) == 0
         first = read_configs(tmp_path / "b1.jsonl")
         assert (len(first), execset.set_digest(first)) == BUDGET_CUT_CONFIGS
-        assert execset.read_execset(str(tmp_path / "b1.jsonl")).executions == 1113
+        assert execset.read_execset(str(tmp_path / "b1.jsonl")).executions == 1220
         both = read_configs(tmp_path / "b1.jsonl", tmp_path / "b2.jsonl")
         assert (len(both), execset.set_digest(both)) == EXECUTION_ID_STREAM_CONFIGS["rec"]
         resumed = execset.read_execset(str(tmp_path / "b2.jsonl"))
@@ -477,8 +501,8 @@ class TestEquivalenceWithExecutionIdStreams:
         assert "SAME SET" in capsys.readouterr().out
 
     def test_sigint_and_resume(self, tmp_path):
-        """The CI smoke's SIGINT cut: a SIGINT raised at the 500th of the
-        state-cached walk's 962 steps."""
+        """The CI smoke's SIGINT cut: a SIGINT raised at the 250th of the
+        state-cached walk's 510 steps."""
         from repro.__main__ import main
 
         checkpoint = str(tmp_path / "ck.jsonl")
@@ -488,7 +512,7 @@ class TestEquivalenceWithExecutionIdStreams:
         def tripwire(name, _fields):
             if name == "step":
                 fuse["steps"] += 1
-                if fuse["steps"] == 500:
+                if fuse["steps"] == 250:
                     signal.raise_signal(signal.SIGINT)
 
         events.subscribe(tripwire)

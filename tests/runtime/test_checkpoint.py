@@ -133,6 +133,31 @@ class TestRoundTrip:
         # No temp debris left behind.
         assert [p.name for p in tmp_path.iterdir()] == ["cp.jsonl"]
 
+    def test_resume_removes_only_its_own_stale_temp_files(self, tmp_path):
+        """A writer killed before its rename leaves its temp file; the
+        next run writing that checkpoint removes it, and no other
+        checkpoint's (``ck.jsonl-x``'s temp file starts like one of
+        ``ck.jsonl``'s)."""
+        path = str(tmp_path / "ck.jsonl")
+        interrupted = Explorer(
+            steps_spec(), budget=Budget(max_steps=200), checkpoint_path=path
+        )
+        list(interrupted.executions())
+        assert interrupted.interrupted
+        stale = ".checkpoint-ck.jsonl-k1ll3d_0.tmp"
+        others = [".checkpoint-other.jsonl-k1ll3d_0.tmp",
+                  ".checkpoint-ck.jsonl-x-k1ll3d_0.tmp"]
+        for name in [stale, *others]:
+            (tmp_path / name).write_text('{"format": "repro-checkpoint/3"')
+        resumed = Explorer.from_checkpoint(
+            steps_spec(), read_checkpoint(path), checkpoint_path=path
+        )
+        list(resumed.executions())
+        assert read_checkpoint(path).done
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["ck.jsonl", *others]
+        )
+
 
 class TestCorruption:
     def test_empty_file(self, tmp_path):

@@ -66,6 +66,9 @@ actions = st.lists(
     [("step", 0), ("step", 1), ("fork", 0), ("step", 3), ("crash", 4),
      ("fork", 0), ("recover", 4), ("mutate", 0), ("step", 4)]
 )
+# pid 3 stays POISED over two steps (skipping the status bookkeeping),
+# then its third step finishes it.
+@example([("step", 3), ("step", 3), ("fork", 0), ("step", 3)])
 def test_enabled_set_equals_poised_processes(script):
     system = mixed_spec().build()
     assert system.enabled_pids() == poised(system)
@@ -88,6 +91,7 @@ def test_enabled_set_equals_poised_processes(script):
             returned.append(pid)
         assert system.enabled_pids() == poised(system)
         assert system.is_quiescent() == (not poised(system))
+        assert system.trace.statuses == {p.pid: p.status for p in system.processes}
     for ancestor, enabled in ancestors:
         assert ancestor.enabled_pids() == enabled == poised(ancestor)
 

@@ -21,6 +21,7 @@ from repro.objects.base import ObjectSpec
 from repro.objects.consensus_object import NConsensusSpec
 from repro.objects.register import RegisterSpec
 from repro.objects.set_consensus import SetConsensusSpec
+from repro.runtime.execution import CRASH_CHOICE, RECOVER_CHOICE
 from repro.runtime.explorer import Explorer
 from repro.runtime.ops import invoke
 from repro.runtime.process import ProcessStatus
@@ -334,3 +335,106 @@ def test_equal_operations_of_different_types_never_share_an_entry():
     ]
     assert sorted(map(repr, writes)) == ["(1,)", "(True,)"]
     assert explorer.stats.object_applies == len(check.sites)
+
+
+#: The walks whose every edge :class:`TestSuccessorIdentity` checks: the
+#: cases above (the CI-pinned ``rec`` and ``crash`` instances, E9's
+#: annotating snapshot, a nondeterministic object with several outcomes,
+#: a hang-on-misuse object) plus the ``rec-r1`` instance and O(2,1)
+#: without faults.
+SUCCESSOR_CASES = {
+    **CASES,
+    "O(1,2) f=2 r=1": lambda: (
+        set_consensus_spec(1, 2, ["a", "b", "c", "d"]),
+        {"max_crashes": 2, "max_recoveries": 1},
+    ),
+    "O(2,1)": lambda: (set_consensus_spec(2, 1, ["a", "b", "c", "d", "e", "f"]), {}),
+}
+
+
+def fresh_identity(system):
+    """``system``'s identity computed anew, not read from its cache."""
+    copy = system.fork()
+    copy._identity = None
+    return copy.identity()
+
+
+class TestSuccessorIdentity:
+    """``System.successor_identity`` is the identity ``fork`` + ``apply``
+    reaches, and leaves the configuration it is asked about unchanged:
+    the state-cached walk looks a child up by it before (and, on a hit,
+    instead of) forking."""
+
+    @pytest.mark.parametrize("name", sorted(SUCCESSOR_CASES))
+    def test_every_edge_of_the_cached_walk(self, monkeypatch, name):
+        spec, options = SUCCESSOR_CASES[name]()
+        branches = Explorer._branches
+        edges = {"step": 0, CRASH_CHOICE: 0, RECOVER_CHOICE: 0, "blocked": 0}
+
+        def checked(explorer, system, prefix):
+            found = branches(explorer, system, prefix)
+            before = fresh_identity(system)
+            for (pid, choice), outcomes in found:
+                computed = system.successor_identity(pid, choice, outcomes)
+                if choice in (CRASH_CHOICE, RECOVER_CHOICE):
+                    edges[choice] += 1
+                else:
+                    edges["step" if outcomes else "blocked"] += 1
+                    assert system.successor_identity(pid, choice) == computed
+                child = system.fork()
+                child.apply(pid, choice, outcomes)
+                assert child.identity() == computed
+            assert fresh_identity(system) == before
+            return found
+
+        monkeypatch.setattr(Explorer, "_branches", checked)
+        stats = Explorer(spec, strict=False, **options).run()
+        assert stats.executions > 0 and edges["step"] > 0
+        if options.get("max_crashes"):
+            assert edges[CRASH_CHOICE] > 0
+        if options.get("max_recoveries"):
+            assert edges[RECOVER_CHOICE] > 0
+        if "hang_on_misuse" in name:
+            assert edges["blocked"] > 0
+
+    def test_no_op_faults_name_the_configuration_itself(self):
+        """A crash of a dead process and a recovery of a live one change
+        nothing, as ``crash`` and ``recover`` do."""
+        spec, _options = CASES["hang_on_misuse 1-consensus"]()
+        crashed_done = spec.build()
+        crashed_done.crash(0)
+        crashed_done.step(1)
+        done_blocked = spec.build()
+        done_blocked.step(0)
+        done_blocked.step(1)  # the second proposal blocks
+        for system, statuses in [
+            (crashed_done, [ProcessStatus.CRASHED, ProcessStatus.DONE]),
+            (done_blocked, [ProcessStatus.DONE, ProcessStatus.BLOCKED]),
+        ]:
+            assert [p.status for p in system.processes] == statuses
+            for pid in (0, 1):
+                for choice in (CRASH_CHOICE, RECOVER_CHOICE):
+                    if statuses[pid] is ProcessStatus.CRASHED \
+                            and choice == RECOVER_CHOICE:
+                        continue
+                    child = system.fork()
+                    child.apply(pid, choice)
+                    identity = system.identity()
+                    assert system.successor_identity(pid, choice) == identity
+                    assert child.identity() == identity
+
+    def test_a_memo_not_yet_recording_starts_recording(self):
+        """Before the first fork the memo records no transition, so an
+        ``advance`` would consume the node's generator and lead the
+        later step elsewhere; the method starts recording first, and the
+        step then reaches the recorded node without resuming any
+        program."""
+        spec, _options = CASES["E9 snapshot"]()
+        system = spec.build()
+        assert not system.memo.recording
+        computed = system.successor_identity(0, 0)
+        assert system.memo.recording
+        resumes = system.memo.resumes
+        system.step(0)
+        assert system.memo.resumes == resumes
+        assert fresh_identity(system) == computed
